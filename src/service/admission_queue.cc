@@ -59,7 +59,7 @@ bool AdmissionQueue::PickLocked(AdmissionItem* out) {
       q.pop_front();
       --queues.total;
       --depth_;
-      ++dispatched_;
+      out->dispatch_seq = ++dispatched_;
       // Next dispatch in this class starts at the following tenant, which
       // is what keeps a flooding tenant at one dispatch per rotation.
       rr_cursor_[priority] = (index + 1) % n;

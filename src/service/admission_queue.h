@@ -42,6 +42,10 @@ inline constexpr int kNumPriorities = 2;
 // One admitted request as handed to a dispatcher.
 struct AdmissionItem {
   uint64_t ticket = 0;  // globally monotonic admission order, starts at 1
+  // Global dispatch order, starts at 1: stamped under the queue lock when
+  // the item is picked, so it is the true order the policy chose, not the
+  // order in which concurrent consumers got around to looking at items.
+  uint64_t dispatch_seq = 0;
   std::string tenant;
   int priority = kPriorityBatch;
   std::function<void()> fn;  // the work; run by the dispatching worker

@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace grapple {
@@ -112,9 +114,12 @@ TEST(AdmissionQueueTest, FloodingTenantsCannotStarveOthers) {
   AdmissionQueue queue(kFloodTenants * kPerTenant + 8);
 
   std::mutex mu;
-  std::map<std::string, std::vector<uint64_t>> dispatch_order;
+  // Per tenant: (dispatch_seq, ticket). Consumers record after Dequeue
+  // returns, outside the queue lock, so arrival order here is arbitrary;
+  // the queue's dispatch_seq stamp is the order that counts.
+  std::map<std::string, std::vector<std::pair<uint64_t, uint64_t>>> dispatch_order;
   std::atomic<int> dispatched{0};
-  std::atomic<int> victim_position{-1};
+  std::atomic<int64_t> victim_position{-1};
 
   // Floods are fully queued before the victim arrives — worst case for it.
   for (int t = 0; t < kFloodTenants; ++t) {
@@ -132,13 +137,13 @@ TEST(AdmissionQueueTest, FloodingTenantsCannotStarveOthers) {
     consumers.emplace_back([&] {
       AdmissionItem item;
       while (queue.Dequeue(&item)) {
-        int position = dispatched.fetch_add(1);
+        dispatched.fetch_add(1);
         if (item.ticket == victim_ticket) {
-          victim_position.store(position);
+          victim_position.store(static_cast<int64_t>(item.dispatch_seq) - 1);
         }
         {
           std::lock_guard<std::mutex> lock(mu);
-          dispatch_order[item.tenant].push_back(item.ticket);
+          dispatch_order[item.tenant].emplace_back(item.dispatch_seq, item.ticket);
         }
         item.fn();
         if (dispatched.load() >= kFloodTenants * kPerTenant + 1) {
@@ -159,13 +164,14 @@ TEST(AdmissionQueueTest, FloodingTenantsCannotStarveOthers) {
   EXPECT_EQ(dispatched.load(), kFloodTenants * kPerTenant + 1);
   // Round-robin bounds the victim's wait to one dispatch per tenant per
   // rotation: it is served within the first rotation after it arrives, not
-  // behind 120 flood requests. (Allow slack for consumer interleaving.)
+  // behind 120 flood requests.
   EXPECT_GE(victim_position.load(), 0);
-  EXPECT_LT(victim_position.load(), 3 * (kFloodTenants + 1));
-  // Per-tenant FIFO: tickets dispatch in admission order within a tenant.
-  for (const auto& [tenant, tickets] : dispatch_order) {
-    for (size_t i = 1; i < tickets.size(); ++i) {
-      EXPECT_LT(tickets[i - 1], tickets[i]) << "out-of-order dispatch for " << tenant;
+  EXPECT_LT(victim_position.load(), kFloodTenants + 1);
+  // Per-tenant FIFO: in dispatch order, a tenant's tickets are increasing.
+  for (auto& [tenant, order] : dispatch_order) {
+    std::sort(order.begin(), order.end());
+    for (size_t i = 1; i < order.size(); ++i) {
+      EXPECT_LT(order[i - 1].second, order[i].second) << "out-of-order dispatch for " << tenant;
     }
   }
 }
