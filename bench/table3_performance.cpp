@@ -617,6 +617,83 @@ void RunProfOverhead(obs::BenchReport* bench, const WorkloadConfig& preset) {
   bench->Add(std::move(report));
 }
 
+// Per-commit smoke gate for out-of-core join work. hbase@0.3 (pinned:
+// GRAPPLE_SCALE does not move it) runs the alias phase once at the default
+// 64 MB budget, where the closure stays in one partition, and once at 4 MB,
+// where it repartitions. Splitting must not make the closure redo joins it
+// already did (DESIGN.md, "Delta frontier across repartitioning"), so the
+// gated gauges are the joins ratio (4 MB over 64 MB), the split count (the
+// subject must actually take the split path) and whether both budgets reach
+// the same alias closure. Join counts are deterministic, so unlike the
+// wall-clock A/Bs above this gate is exact on any machine.
+void RunRepartition(obs::BenchReport* bench) {
+  const WorkloadConfig preset = HBasePreset(0.3);
+  Workload workload = GenerateWorkload(preset);
+
+  struct BudgetRun {
+    uint64_t budget_bytes = 0;
+    PhaseStats alias;
+    size_t alias_pairs = 0;
+    double seconds = 0;
+  };
+  auto run_budget = [&](uint64_t budget_bytes) {
+    GrappleOptions options;
+    options.engine.memory_budget_bytes = budget_bytes;
+    Program program = workload.program;
+    BudgetRun run;
+    run.budget_bytes = budget_bytes;
+    WallTimer timer;
+    Grapple grapple(std::move(program), options);
+    GrappleResult result = grapple.Check({});  // phase 1 (alias) only
+    run.seconds = timer.ElapsedSeconds();
+    run.alias = result.alias;
+    run.alias_pairs = result.alias_pairs;
+    return run;
+  };
+
+  BudgetRun in_memory = run_budget(uint64_t{64} << 20);
+  BudgetRun spilled = run_budget(uint64_t{4} << 20);
+  double joins_ratio = in_memory.alias.engine.joins_attempted > 0
+                           ? static_cast<double>(spilled.alias.engine.joins_attempted) /
+                                 static_cast<double>(in_memory.alias.engine.joins_attempted)
+                           : 0;
+  bool identical = in_memory.alias.edges_after == spilled.alias.edges_after &&
+                   in_memory.alias_pairs == spilled.alias_pairs;
+
+  PrintHeaderLine("Repartitioning: alias closure at 64 MB vs 4 MB");
+  std::printf("%-11s %7s %12s %7s %6s %11s %9s %9s\n", "Subject", "budget", "joins", "splits",
+              "#part", "#EA", "flowsTo", "time");
+  for (const BudgetRun* run : {&in_memory, &spilled}) {
+    std::printf("%-11s %5" PRIu64 "MB %12" PRIu64 " %7" PRIu64 " %6zu %11" PRIu64 " %9zu %9s\n",
+                preset.name.c_str(), run->budget_bytes >> 20, run->alias.engine.joins_attempted,
+                run->alias.engine.partition_splits, run->alias.engine.peak_partitions,
+                run->alias.edges_after, run->alias_pairs,
+                FormatDuration(run->seconds).c_str());
+  }
+  std::printf("joins ratio %.2fx (gated <= 1.10); closure %s across budgets.\n", joins_ratio,
+              identical ? "identical" : "DIFFERS");
+
+  obs::RunReport report;
+  report.subject = "repartition";
+  report.total_seconds = in_memory.seconds + spilled.seconds;
+  obs::PhaseReport phase;
+  phase.name = "repartition";
+  phase.seconds = spilled.seconds;
+  phase.metrics.gauges["rp_joins_ratio"] = joins_ratio;
+  phase.metrics.gauges["rp_splits"] = static_cast<double>(spilled.alias.engine.partition_splits);
+  phase.metrics.gauges["rp_alias_edges_identical"] = identical ? 1 : 0;
+  phase.metrics.gauges["rp_joins_in_memory"] =
+      static_cast<double>(in_memory.alias.engine.joins_attempted);
+  phase.metrics.gauges["rp_joins_spilled"] =
+      static_cast<double>(spilled.alias.engine.joins_attempted);
+  phase.metrics.gauges["rp_peak_partitions"] =
+      static_cast<double>(spilled.alias.engine.peak_partitions);
+  phase.metrics.gauges["rp_seconds_in_memory"] = in_memory.seconds;
+  phase.metrics.gauges["rp_seconds_spilled"] = spilled.seconds;
+  report.phases.push_back(std::move(phase));
+  bench->Add(std::move(report));
+}
+
 int Main() {
   double scale = ScaleFromEnv(1.0);
   obs::BenchReport bench("table3_performance");
@@ -650,6 +727,7 @@ int Main() {
   RunCheckpointOverhead(&bench, ZooKeeperPreset(scale));
   RunObsOverhead(&bench, ZooKeeperPreset(scale));
   RunProfOverhead(&bench, ZooKeeperPreset(scale));
+  RunRepartition(&bench);
   bench.Write();
   return 0;
 }

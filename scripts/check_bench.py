@@ -194,6 +194,31 @@ DEFAULT_WATCH = [
         "min": 1.0,
     },
     {
+        # Alias joins on hbase@0.3 at a 4 MB budget (the closure splits)
+        # over joins at 64 MB (it does not). Splits carry done-versions, so
+        # repartitioning must not redo old x old joins (a closure that
+        # restarts every pair after a split makes 4.49x). Deterministic: a
+        # pure work count, the same on any machine.
+        "key": "table3_performance/repartition/repartition/gauge:rp_joins_ratio",
+        "direction": "lower_is_better",
+        "max": 1.10,
+    },
+    {
+        # The 4 MB run must actually take the split path, or the ratio
+        # above gates nothing. The count itself may move with layout
+        # changes; only the floor is binding.
+        "key": "table3_performance/repartition/repartition/gauge:rp_splits",
+        "direction": "higher_is_better",
+        "min": 1.0,
+        "tolerance": 1.0,
+    },
+    {
+        # Both budgets reach the same alias closure (#EA and flowsTo facts).
+        "key": "table3_performance/repartition/repartition/gauge:rp_alias_edges_identical",
+        "direction": "higher_is_better",
+        "min": 1.0,
+    },
+    {
         # Warm throughput of the analysis service's two-tenant burst
         # (bench/service_bench.cpp). Wall-clock over loopback HTTP, so the
         # tolerance is wide; the floor catches the service falling back to

@@ -128,6 +128,7 @@ GraphEngine::GraphEngine(const Grammar* grammar, ConstraintOracle* oracle, Engin
       c_widened_triples_(metrics_.Counter("engine_widened_triples_total")),
       c_partition_splits_(metrics_.Counter("engine_partition_splits_total")),
       c_budget_borrows_(metrics_.Counter("engine_budget_borrows_total")),
+      c_budget_stops_(metrics_.Counter("engine_budget_stops_total")),
       c_preprocess_ns_(metrics_.Counter("engine_preprocess_ns")),
       c_compute_ns_(metrics_.Counter("engine_compute_ns")),
       h_join_round_joins_(metrics_.Histogram("engine_join_round_joins")),
@@ -185,6 +186,17 @@ GraphEngine::GraphEngine(const Grammar* grammar, ConstraintOracle* oracle, Engin
     w.Key("pairs_done").UInt(live_pairs_done_.load(std::memory_order_relaxed));
     w.Key("checkpoints_published").UInt(live_ckpts_published_.load(std::memory_order_relaxed));
     w.Key("budget_bytes").UInt(live_budget_bytes_.load(std::memory_order_relaxed));
+    // Closure yield: joins attempted per edge the closure actually added. A
+    // scheduler that re-joins work it already did shows up here first.
+    obs::MetricsSnapshot counters = metrics_.Snapshot();
+    uint64_t edges_added = counters.CounterOr("engine_edges_added_total");
+    w.Key("joins_per_new_edge");
+    if (edges_added == 0) {
+      w.Null();
+    } else {
+      w.Double(static_cast<double>(counters.CounterOr("engine_joins_attempted_total")) /
+               static_cast<double>(edges_added));
+    }
     w.EndObject();
     return w.Take();
   });
@@ -652,11 +664,11 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
     return pe;
   };
 
-  // Delta frontier: if this pair previously reached a local fixpoint at
-  // versions (vi, vj), the old x old joins are already done — only edges
-  // recorded after those versions seed the frontier. Edge files are append
-  // ordered and rewrites preserve prefix order, so "new" is a suffix of
-  // each partition's load.
+  // Delta frontier: if every join among the first EdgesAtVersion(vi) edges
+  // of pi and EdgesAtVersion(vj) edges of pj is already done (pair_done_),
+  // only edges recorded after those versions seed the frontier. Edge files
+  // are append ordered, and rewrites and splits preserve prefix order, so
+  // "new" is a suffix of each partition's load.
   size_t old_i = 0;
   size_t old_j = 0;
   auto prev_done = pair_done_.find({pi, pj});
@@ -915,7 +927,10 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
     // Eager memory guard: when the resident pair has outgrown the budget,
     // first try to borrow headroom from the shared arbiter (released by
     // engines that already finished); only if that fails stop the local
-    // fixpoint early, write back (splitting), and reschedule.
+    // fixpoint early, write back (splitting), and reschedule. A pair whose
+    // frontier just emptied has reached its fixpoint and completes anyway:
+    // stopping it would reschedule it forever once its resident edges alone
+    // exceed the budget.
     metrics_.MaxGauge("engine_peak_resident_bytes", static_cast<double>(pair.arena_bytes()));
     if (pair.arena_bytes() > BudgetBytes()) {
       uint64_t want = pair.arena_bytes() + pair.arena_bytes() / 2;
@@ -923,7 +938,8 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
         metrics_.Add(c_budget_borrows_);
         metrics_.SetGauge("engine_budget_bytes", static_cast<double>(BudgetBytes()));
         live_budget_bytes_.store(BudgetBytes(), std::memory_order_relaxed);
-      } else {
+      } else if (!frontier.empty()) {
+        metrics_.Add(c_budget_stops_);
         complete = false;
         break;
       }
@@ -932,9 +948,10 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
 
   // --- write back ---
   uint64_t target = BudgetBytes() / 4;
-  auto writeback = [&](size_t index_p, bool changed, VertexId lo, VertexId hi) {
+  // Returns the number of partitions the interval spans afterwards.
+  auto writeback = [&](size_t index_p, bool changed, VertexId lo, VertexId hi) -> size_t {
     if (!changed) {
-      return false;
+      return 1;
     }
     std::vector<EdgeRecord> edges;
     uint64_t bytes = 0;
@@ -949,22 +966,43 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
       size_t pieces = store_.SplitAndRewrite(index_p, std::move(edges), target);
       if (pieces > 1) {
         metrics_.Add(c_partition_splits_, pieces - 1);
-        return true;  // layout changed
+        RemapPairDoneAfterSplit(index_p, pieces);
       }
-      return false;
+      return pieces;
     }
     store_.Rewrite(index_p, edges);
-    return false;
+    return 1;
   };
 
   // Write the higher-indexed partition first so index pi stays valid if pj
   // splits.
-  bool layout_changed = false;
+  size_t pieces_j = 0;
   if (pi != pj) {
-    layout_changed |= writeback(pj, changed_j, store_.Info(pj).lo, store_.Info(pj).hi);
+    pieces_j = writeback(pj, changed_j, store_.Info(pj).lo, store_.Info(pj).hi);
   }
-  layout_changed |= writeback(pi, changed_i || (pi == pj && changed_j), store_.Info(pi).lo,
+  size_t pieces_i = writeback(pi, changed_i || (pi == pj && changed_j), store_.Info(pi).lo,
                               store_.Info(pi).hi);
+
+  if (complete) {
+    // Every join among the resident edges ran while they were loaded, so
+    // every pair drawn from the (possibly split) loaded partitions is done
+    // at their post-write-back versions: (pi, pj), (pi, pi), (pj, pj) and
+    // all child combinations. A pair that stopped early keeps its previous
+    // (remapped) entry, whose prefixes the write-back preserved.
+    std::vector<size_t> resident;
+    for (size_t k = 0; k < pieces_i; ++k) {
+      resident.push_back(pi + k);
+    }
+    for (size_t k = 0; k < pieces_j; ++k) {
+      resident.push_back(pj + pieces_i - 1 + k);
+    }
+    for (size_t a = 0; a < resident.size(); ++a) {
+      for (size_t b = a; b < resident.size(); ++b) {
+        pair_done_[{resident[a], resident[b]}] = {store_.Info(resident[a]).version,
+                                                  store_.Info(resident[b]).version};
+      }
+    }
+  }
 
   // Flush externals grouped by owner.
   if (!external.empty()) {
@@ -986,17 +1024,28 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
   }
 
   metrics_.MaxGauge("engine_peak_partitions", static_cast<double>(store_.NumPartitions()));
+}
 
-  if (layout_changed) {
-    // Partition indices shifted; all bookkeeping is stale.
-    pair_done_.clear();
-    return;
+void GraphEngine::RemapPairDoneAfterSplit(size_t split, size_t pieces) {
+  // Partition `split` became [split, split + pieces); later indices shift
+  // by pieces - 1. A piece's prefix at the parent's done-version is a
+  // subset of the parent's, so each entry naming the parent holds for
+  // every piece with its versions unchanged.
+  auto first_of = [&](size_t p) { return p <= split ? p : p + pieces - 1; };
+  auto count_of = [&](size_t p) { return p == split ? pieces : size_t{1}; };
+  std::map<std::pair<size_t, size_t>, std::pair<uint64_t, uint64_t>> remapped;
+  for (const auto& [pair, versions] : pair_done_) {
+    for (size_t a = 0; a < count_of(pair.first); ++a) {
+      for (size_t b = 0; b < count_of(pair.second); ++b) {
+        size_t i = first_of(pair.first) + a;
+        size_t j = first_of(pair.second) + b;
+        if (i <= j) {
+          remapped[{i, j}] = versions;
+        }
+      }
+    }
   }
-  if (complete) {
-    pair_done_[{pi, pj}] = {store_.Info(pi).version, store_.Info(pj).version};
-  } else {
-    pair_done_.erase({pi, pj});
-  }
+  pair_done_ = std::move(remapped);
 }
 
 void GraphEngine::ForEachEdge(const std::function<void(const EdgeRecord&)>& fn) {

@@ -198,6 +198,11 @@ class GraphEngine : public EdgeSink {
   class LoadedPair;
 
   void ProcessPair(size_t pi, size_t pj);
+  // Keeps pair_done_ valid after partition `split` was replaced by
+  // `pieces` partitions at [split, split + pieces): later indices shift by
+  // pieces - 1, and every entry naming the split partition fans out to
+  // each piece with its done-versions unchanged.
+  void RemapPairDoneAfterSplit(size_t split, size_t pieces);
   // The pair the Run() scheduler would pick next if processing (pi, pj)
   // produces no writes: the first stale pair after it in scan order.
   // Feeds the store's prefetcher; returns false when no such pair exists.
@@ -236,6 +241,7 @@ class GraphEngine : public EdgeSink {
   obs::MetricId c_widened_triples_;
   obs::MetricId c_partition_splits_;
   obs::MetricId c_budget_borrows_;
+  obs::MetricId c_budget_stops_;  // pairs stopped before their fixpoint
   obs::MetricId c_preprocess_ns_;
   obs::MetricId c_compute_ns_;
   obs::MetricId h_join_round_joins_;
@@ -259,7 +265,10 @@ class GraphEngine : public EdgeSink {
   std::unique_ptr<GraphEngineIndexHolder> index_;
   bool finalized_ = false;
 
-  // Pair-scheduling bookkeeping: versions of (pi, pj) when last processed.
+  // Pair-scheduling bookkeeping, keyed by (pi, pj) with pi <= pj: done-
+  // versions (vi, vj) such that every join among the first
+  // EdgesAtVersion(pi, vi) edges of pi and EdgesAtVersion(pj, vj) edges of
+  // pj has been attempted. A pair is stale while its versions differ.
   std::map<std::pair<size_t, size_t>, std::pair<uint64_t, uint64_t>> pair_done_;
 
   // Checkpoint bookkeeping (only used when options_.checkpoint_interval>0).

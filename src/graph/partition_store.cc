@@ -573,41 +573,45 @@ size_t PartitionStore::SplitAndRewrite(size_t index, std::vector<EdgeRecord> edg
     Rewrite(index, edges);
     return 1;
   }
-  std::sort(edges.begin(), edges.end(), [](const EdgeRecord& a, const EdgeRecord& b) {
-    if (a.src != b.src) {
-      return a.src < b.src;
+  // Piece boundaries come from a (src, dst)-sorted view; the edges
+  // themselves stay in load order (see the history carry below).
+  std::vector<uint32_t> sorted(edges.size());
+  for (size_t e = 0; e < edges.size(); ++e) {
+    sorted[e] = static_cast<uint32_t>(e);
+  }
+  std::sort(sorted.begin(), sorted.end(), [&edges](uint32_t a, uint32_t b) {
+    if (edges[a].src != edges[b].src) {
+      return edges[a].src < edges[b].src;
     }
-    return a.dst < b.dst;
+    return edges[a].dst < edges[b].dst;
   });
 
   std::vector<PartitionInfo> pieces;
-  std::vector<std::vector<EdgeRecord>> piece_edges;
   size_t begin = 0;
   VertexId interval_lo = original.lo;
   while (interval_lo < original.hi) {
     uint64_t size_estimate = 0;
     size_t end = begin;
     VertexId last_src = interval_lo;
-    while (end < edges.size()) {
-      uint64_t edge_size = 16 + edges[end].payload.size();
-      if (end > begin && size_estimate + edge_size > target_bytes &&
-          edges[end].src != last_src && edges[end].src > interval_lo) {
+    while (end < sorted.size()) {
+      const EdgeRecord& edge = edges[sorted[end]];
+      uint64_t edge_size = 16 + edge.payload.size();
+      if (end > begin && size_estimate + edge_size > target_bytes && edge.src != last_src &&
+          edge.src > interval_lo) {
         break;
       }
       size_estimate += edge_size;
-      last_src = edges[end].src;
+      last_src = edge.src;
       ++end;
     }
     PartitionInfo info;
     info.lo = interval_lo;
-    info.hi = (end == edges.size()) ? original.hi : edges[end].src;
+    info.hi = (end == sorted.size()) ? original.hi : edges[sorted[end]].src;
     if (info.hi <= info.lo) {
       info.hi = info.lo + 1;
     }
     info.hi = std::min(info.hi, original.hi);
     pieces.push_back(info);
-    piece_edges.emplace_back(edges.begin() + static_cast<ptrdiff_t>(begin),
-                             edges.begin() + static_cast<ptrdiff_t>(end));
     begin = end;
     interval_lo = info.hi;
   }
@@ -617,6 +621,34 @@ size_t PartitionStore::SplitAndRewrite(size_t index, std::vector<EdgeRecord> edg
     Rewrite(index, edges);
     return 1;
   }
+
+  // Distribute in load order, re-counting the parent's append history per
+  // piece: a piece's count at each parent segment is how many of the
+  // parent's first `count` edges it owns. The engine's done-versions stay
+  // meaningful for the pieces (DESIGN.md, "Delta frontier across
+  // repartitioning").
+  auto piece_of = [&pieces](VertexId src) {
+    auto it = std::upper_bound(pieces.begin(), pieces.end(), src,
+                               [](VertexId v, const PartitionInfo& p) { return v < p.lo; });
+    return static_cast<size_t>(it - pieces.begin()) - 1;
+  };
+  std::vector<std::vector<EdgeRecord>> piece_edges(pieces.size());
+  size_t next_segment = 0;
+  auto close_segments_at = [&](uint64_t position) {
+    while (next_segment < original.segments.size() &&
+           original.segments[next_segment].second <= position) {
+      for (size_t i = 0; i < pieces.size(); ++i) {
+        pieces[i].segments.emplace_back(original.segments[next_segment].first,
+                                        piece_edges[i].size());
+      }
+      ++next_segment;
+    }
+  };
+  for (size_t e = 0; e < edges.size(); ++e) {
+    close_segments_at(e);
+    piece_edges[piece_of(edges[e].src)].push_back(std::move(edges[e]));
+  }
+  close_segments_at(edges.size());
 
   if (metrics_ != nullptr) {
     metrics_->Add(c_splits_);
@@ -641,7 +673,7 @@ size_t PartitionStore::SplitAndRewrite(size_t index, std::vector<EdgeRecord> edg
     std::shared_ptr<const std::vector<EdgeRecord>> content;
     WriteEdges(pieces[i].path, std::move(piece_edges[i]), &pieces[i].bytes, &content);
     pieces[i].version = original.version + 1;
-    pieces[i].segments = {{pieces[i].version, pieces[i].edges}};
+    pieces[i].segments.emplace_back(pieces[i].version, pieces[i].edges);
     CachePut(pieces[i].path, pieces[i].version, pieces[i].bytes, std::move(content));
   }
   partitions_.erase(partitions_.begin() + static_cast<ptrdiff_t>(index));

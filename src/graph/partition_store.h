@@ -120,9 +120,15 @@ class PartitionStore {
 
   // Replaces partition `index` with >= 2 partitions of roughly
   // `target_bytes` each, redistributing `edges` (which must all belong to
-  // the partition's interval). No-op (plain rewrite) when the interval has
-  // a single vertex or the data fits. Returns the number of partitions the
-  // interval now spans.
+  // the partition's interval, with the partition's current content as a
+  // prefix in load order — as for Rewrite). Piece boundaries are cut on
+  // the (src, dst)-sorted edges, but each piece keeps its edges in load
+  // order and inherits the partition's segment history re-counted for that
+  // piece, so EdgesAtVersion(piece, v) is the number of the partition's
+  // first EdgesAtVersion(index, v) edges the piece owns. Pieces start at
+  // the partition's version + 1. No-op (plain rewrite) when the interval
+  // has a single vertex or the data fits. Returns the number of partitions
+  // the interval now spans.
   size_t SplitAndRewrite(size_t index, std::vector<EdgeRecord> edges, uint64_t target_bytes);
 
   // Read-ahead hint: the engine expects to Load these partitions soon.
@@ -185,8 +191,10 @@ class PartitionStore {
   // exists.
   void CleanWorkDirForFreshStart();
 
-  // Cumulative edge count of partition `index` as of `version` (0 when the
-  // partition's history does not reach back that far, e.g. after a split).
+  // Cumulative edge count of partition `index` as of `version`: the length
+  // of the load-order prefix the partition held then (0 for versions older
+  // than its history). Split pieces carry their parent's history, so this
+  // stays defined across SplitAndRewrite.
   uint64_t EdgesAtVersion(size_t index, uint64_t version) const;
 
   uint64_t TotalBytes() const;

@@ -10,12 +10,16 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "src/checker/builtin_checkers.h"
 #include "src/checker/report_json.h"
 #include "src/core/grapple.h"
+#include "src/graph/checkpoint.h"
 #include "src/ir/parser.h"
 #include "src/support/byte_io.h"
 #include "src/support/fault_injection.h"
+#include "src/workload/workload.h"
 
 namespace grapple {
 namespace {
@@ -60,18 +64,37 @@ std::vector<FsmSpec> Specs() {
   return specs;
 }
 
+// The subject a child process analyzes.
+enum class Subject {
+  // kProgram at the default budget.
+  kSmall,
+  // A generated zookeeper-shaped subject at an 8 KB budget, where the alias
+  // closure starts in several partitions and repartitions mid-run.
+  kSplitting,
+};
+
 // One deterministic artifact per run: checker name, degradation marker, and
 // the full report JSON (witnesses included). Byte-compared across runs.
-std::string RunPipeline(const std::string& work_dir) {
-  ParseResult parsed = ParseProgram(kProgram);
-  if (!parsed.ok) {
-    return "parse error: " + parsed.error;
-  }
+// `alias_work` receives the alias closure's split count, pair loads and
+// final partition count, which a resumed run does not reproduce and so stay
+// out of the artifact.
+std::string RunPipeline(const std::string& work_dir, Subject subject, std::string* alias_work) {
+  Program program;
   GrappleOptions options;
+  if (subject == Subject::kSplitting) {
+    program = GenerateWorkload(ZooKeeperPreset(0.02)).program;
+    options.engine.memory_budget_bytes = 8 << 10;
+  } else {
+    ParseResult parsed = ParseProgram(kProgram);
+    if (!parsed.ok) {
+      return "parse error: " + parsed.error;
+    }
+    program = std::move(parsed.program);
+  }
   options.work_dir = work_dir;
   options.robustness.checkpoint_interval = 1;     // checkpoint at every pair
   options.robustness.checkpoint_min_spacing_s = 0;  // no wall-clock throttle
-  Grapple analyzer(std::move(parsed.program), options);
+  Grapple analyzer(std::move(program), options);
   GrappleResult result = analyzer.Check(Specs());
   std::string artifact;
   for (const auto& checker : result.checkers) {
@@ -80,15 +103,19 @@ std::string RunPipeline(const std::string& work_dir) {
     artifact += ReportsToJson(checker.reports);
     artifact += "\n";
   }
+  const EngineStats& alias = result.alias.engine;
+  *alias_work = std::to_string(alias.partition_splits) + " " + std::to_string(alias.pair_loads) +
+                " " + std::to_string(alias.num_partitions);
   return artifact;
 }
 
 // Forks; the child arms `faults` (empty = none), runs the pipeline in
-// `work_dir`, writes its artifact, and exits 0. Returns the child's exit
-// code: 0 on a completed run, fault::kCrashExitCode when a crash point
-// fired, 4x on harness errors.
+// `work_dir`, writes its artifact (and the alias work counts to
+// `<artifact_path>.alias`), and exits 0. Returns the child's exit code: 0 on
+// a completed run, fault::kCrashExitCode when a crash point fired, 4x on
+// harness errors.
 int RunInChild(const std::string& work_dir, const std::string& faults,
-               const std::string& artifact_path) {
+               const std::string& artifact_path, Subject subject = Subject::kSmall) {
   pid_t pid = fork();
   if (pid < 0) {
     return -1;
@@ -98,9 +125,12 @@ int RunInChild(const std::string& work_dir, const std::string& faults,
     if (!faults.empty() && !fault::Configure(faults, &error)) {
       _exit(40);
     }
-    std::string artifact = RunPipeline(work_dir);
+    std::string alias_work;
+    std::string artifact = RunPipeline(work_dir, subject, &alias_work);
     if (!WriteFileBytes(artifact_path,
-                        std::vector<uint8_t>(artifact.begin(), artifact.end()))) {
+                        std::vector<uint8_t>(artifact.begin(), artifact.end())) ||
+        !WriteFileBytes(artifact_path + ".alias",
+                        std::vector<uint8_t>(alias_work.begin(), alias_work.end()))) {
       _exit(41);
     }
     _exit(0);
@@ -174,6 +204,55 @@ TEST(RecoveryTest, CrashDuringResumeStillRecovers) {
   std::string final_path = scratch.File("final.txt");
   ASSERT_EQ(RunInChild(work.path(), "", final_path), 0);
   EXPECT_EQ(ReadArtifact(final_path), reference);
+}
+
+TEST(RecoveryTest, CrashAfterSplitResumesToByteIdenticalReports) {
+  // Split pieces inherit their parent's append history, and the engine's
+  // done-versions are remapped onto them; both reach disk only through the
+  // manifest. Crash after every alias pair of a run that repartitions —
+  // so some crashes land right after a split, and some resume from a
+  // manifest that already holds split pieces — and resume each to the
+  // uninterrupted run's exact reports.
+  TempDir scratch("recovery-split");
+  TempDir ref_dir("recovery-split-ref");
+  std::string ref_path = scratch.File("ref.txt");
+  ASSERT_EQ(RunInChild(ref_dir.path(), "", ref_path, Subject::kSplitting), 0);
+  std::string reference = ReadArtifact(ref_path);
+  ASSERT_NE(reference.find("\"witness\""), std::string::npos) << reference;
+  ASSERT_EQ(reference.find("DEGRADED"), std::string::npos) << reference;
+  std::istringstream alias_work(ReadArtifact(ref_path + ".alias"));
+  uint64_t splits = 0;
+  uint64_t alias_pairs = 0;
+  uint64_t final_partitions = 0;
+  alias_work >> splits >> alias_pairs >> final_partitions;
+  // Without a split this test would exercise nothing new.
+  ASSERT_GT(splits, 0u);
+  ASSERT_GT(alias_pairs, 1u);
+  // Each split of one partition into k pieces adds k - 1 to the count.
+  const uint64_t initial_partitions = final_partitions - splits;
+
+  int resumes_from_split_layout = 0;
+  for (uint64_t ordinal = 1; ordinal <= alias_pairs; ++ordinal) {
+    std::string tag = "split-" + std::to_string(ordinal);
+    TempDir work("recovery-" + tag);
+    ASSERT_EQ(RunInChild(work.path(), "crash@run_pair_done#" + std::to_string(ordinal),
+                         scratch.File(tag + "-crash.txt"), Subject::kSplitting),
+              fault::kCrashExitCode)
+        << tag;
+    // The manifest this resume starts from (none before the first pair's
+    // checkpoint): past a split it holds the pieces, their inherited
+    // histories and the remapped done-versions.
+    CheckpointManifest manifest;
+    std::string error;
+    if (LoadCheckpointManifest(work.path() + "/alias", &manifest, &error) &&
+        manifest.partitions.size() > initial_partitions) {
+      ++resumes_from_split_layout;
+    }
+    std::string resume_path = scratch.File(tag + "-resume.txt");
+    ASSERT_EQ(RunInChild(work.path(), "", resume_path, Subject::kSplitting), 0) << tag;
+    EXPECT_EQ(ReadArtifact(resume_path), reference) << tag;
+  }
+  EXPECT_GT(resumes_from_split_layout, 0);
 }
 
 // --- in-process degradation tests (no forking; fault state reset around

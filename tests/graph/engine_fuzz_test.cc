@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <tuple>
 
 #include "src/cfg/call_graph.h"
 #include "src/cfg/loop_unroll.h"
@@ -31,10 +32,10 @@ std::set<EdgeTuple> ReferenceClosure(const Grammar& grammar, std::set<EdgeTuple>
       if (mirror != kNoLabel) {
         add.insert({d1, s1, mirror});
       }
-      for (const auto& [s2, d2, l2] : edges) {
-        if (d1 != s2) {
-          continue;
-        }
+      // Tuples order by source first: the edges leaving d1 are one range.
+      for (auto it = edges.lower_bound({d1, 0, 0}); it != edges.end() && std::get<0>(*it) == d1;
+           ++it) {
+        const auto& [s2, d2, l2] = *it;
         for (Label result : grammar.BinaryResults(l1, l2)) {
           add.insert({s1, d2, result});
         }
@@ -53,6 +54,14 @@ struct FuzzCase {
   uint64_t seed;
   uint64_t budget;
   size_t threads;
+  // Larger, denser graphs for the out-of-core cases below.
+  VertexId vertices = 24;
+  size_t min_base_edges = 20;
+  // The run must repartition (a pair's write-back splits a partition).
+  bool must_split = false;
+  // The run must stop a pair early because its resident edges outgrew the
+  // budget (no lease to borrow from), and reschedule it.
+  bool must_break = false;
 };
 
 class EngineFuzzTest : public ::testing::TestWithParam<FuzzCase> {};
@@ -81,9 +90,9 @@ TEST_P(EngineFuzzTest, MatchesReferenceClosure) {
   }
 
   // Random base graph.
-  const VertexId kVertices = 24;
+  const VertexId kVertices = GetParam().vertices;
   std::set<EdgeTuple> base;
-  size_t base_edges = 20 + rng.Below(30);
+  size_t base_edges = GetParam().min_base_edges + rng.Below(30);
   for (size_t i = 0; i < base_edges; ++i) {
     base.insert({static_cast<VertexId>(rng.Below(kVertices)),
                  static_cast<VertexId>(rng.Below(kVertices)), labels[rng.Below(kLabels)]});
@@ -114,6 +123,13 @@ TEST_P(EngineFuzzTest, MatchesReferenceClosure) {
   std::set<EdgeTuple> got;
   engine.ForEachEdge([&](const EdgeRecord& e) { got.insert({e.src, e.dst, e.label}); });
   EXPECT_EQ(got, expected) << "seed " << GetParam().seed;
+  if (GetParam().must_split) {
+    EXPECT_GT(engine.stats().partition_splits, 0u) << "seed " << GetParam().seed;
+  }
+  if (GetParam().must_break) {
+    EXPECT_GT(engine.Metrics().CounterOr("engine_budget_stops_total"), 0u)
+        << "seed " << GetParam().seed;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -124,6 +140,24 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzCase{6, 4 << 10, 2}, FuzzCase{7, 64 << 20, 1},
                       FuzzCase{8, 1 << 10, 1}, FuzzCase{9, 64 << 20, 4},
                       FuzzCase{10, 8 << 10, 2}));
+
+// Graphs large enough that the closure outgrows its first layout: pairs
+// reach their fixpoint, write back and split, so the delta frontier has to
+// survive repartitioning.
+INSTANTIATE_TEST_SUITE_P(
+    Splitting, EngineFuzzTest,
+    ::testing::Values(FuzzCase{100, 1 << 10, 1, 40, 100, true},
+                      FuzzCase{101, 2 << 10, 2, 40, 100, true},
+                      FuzzCase{105, 2 << 10, 3, 48, 120, true},
+                      FuzzCase{110, 3 << 10, 1, 56, 140, true},
+                      FuzzCase{112, 1 << 10, 2, 32, 80, true}));
+
+// Budget below one pair's resident edges and no lease to borrow from: pairs
+// stop before their fixpoint, write back what they have and are rescheduled.
+INSTANTIATE_TEST_SUITE_P(
+    BudgetBreak, EngineFuzzTest,
+    ::testing::Values(FuzzCase{16, 64, 1, 32, 80, false, true},
+                      FuzzCase{17, 48, 2, 32, 80, false, true}));
 
 }  // namespace
 }  // namespace grapple

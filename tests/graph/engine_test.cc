@@ -2,11 +2,14 @@
 // with hand-built ICFETs providing the constraints.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
 #include "src/cfg/call_graph.h"
 #include "src/cfg/loop_unroll.h"
 #include "src/graph/engine.h"
+#include "src/obs/json.h"
+#include "src/obs/statusz.h"
 #include "src/ir/parser.h"
 #include "src/symexec/cfet_builder.h"
 
@@ -195,6 +198,35 @@ TEST_F(EngineTest, SmallBudgetForcesMultiplePartitions) {
   EXPECT_GT(engine.NumPartitions(), 1u);
   // Full chain reachability: 101*100/2 pairs.
   EXPECT_EQ(paths.size(), 101u * 100u / 2u);
+}
+
+TEST_F(EngineTest, StatusReportsJoinsPerNewEdge) {
+  TempDir dir("engine-yield");
+  IntervalOracle oracle(&icfet_);
+  EngineOptions options;
+  options.work_dir = dir.path();
+  options.memory_budget_bytes = 2 << 10;
+  GraphEngine engine(&grammar_, &oracle, options);
+  std::vector<std::tuple<VertexId, VertexId, PathEncoding>> edges;
+  for (VertexId v = 0; v < 40; ++v) {
+    edges.emplace_back(v, v + 1, PathEncoding::Empty());
+  }
+  RunAndCollectPaths(&engine, edges, 41);
+  const EngineStats& stats = engine.stats();
+  ASSERT_GT(stats.edges_added, 0u);
+
+  // The engine's /statusz source carries the closure's yield: joins
+  // attempted per edge added, from the same counters as its stats.
+  std::string error;
+  std::optional<obs::JsonValue> doc = obs::ParseJson(obs::Introspection::StatusJson(), &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  const obs::JsonValue* sources = doc->Find("sources");
+  ASSERT_NE(sources, nullptr);
+  const obs::JsonValue* status = sources->Find("engine");
+  ASSERT_NE(status, nullptr);
+  double expected =
+      static_cast<double>(stats.joins_attempted) / static_cast<double>(stats.edges_added);
+  EXPECT_NEAR(status->NumberOr("joins_per_new_edge", -1), expected, 1e-6 * expected);
 }
 
 TEST_F(EngineTest, VariantCapWidensTriples) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 #include "src/graph/partition_store.h"
 #include "src/support/byte_io.h"
 
@@ -162,20 +165,67 @@ TEST_F(PartitionStoreTest, EdgesAtVersionTracksHistory) {
   EXPECT_EQ(store_.EdgesAtVersion(0, v3 + 10), 4u);
 }
 
-TEST_F(PartitionStoreTest, SplitResetsHistory) {
-  std::vector<EdgeRecord> edges;
+TEST_F(PartitionStoreTest, SplitCarriesHistory) {
+  // Three generations of content, each later one out of (src, dst) order:
+  // the base layout, an appended delta, and the engine-style write-back of
+  // everything loaded plus newly derived edges.
+  std::vector<EdgeRecord> base;
   for (VertexId v = 0; v < 64; ++v) {
-    edges.push_back(MakeEdge(v, v, 1, 64));
+    base.push_back(MakeEdge(v, v, 1, 64));
   }
-  store_.Initialize(edges, 64, 1 << 20);
+  store_.Initialize(base, 64, 1 << 20);
+  ASSERT_EQ(store_.NumPartitions(), 1u);
+  uint64_t v_init = store_.Info(0).version;
+  std::vector<EdgeRecord> delta;
+  for (VertexId v = 0; v < 32; ++v) {
+    delta.push_back(MakeEdge(63 - 2 * v, v, 2, 48));
+  }
+  store_.Append(0, delta);
   uint64_t v_before = store_.Info(0).version;
-  auto all = store_.Load(0);
-  ASSERT_GT(store_.SplitAndRewrite(0, all, 1024), 1u);
-  // Post-split pieces have fresh history: old versions resolve to 0.
-  for (size_t p = 0; p < store_.NumPartitions(); ++p) {
-    EXPECT_EQ(store_.EdgesAtVersion(p, v_before), 0u);
-    EXPECT_EQ(store_.EdgesAtVersion(p, store_.Info(p).version), store_.Info(p).edges);
+  std::vector<EdgeRecord> all = store_.Load(0);
+  for (VertexId v = 0; v < 40; ++v) {
+    all.push_back(MakeEdge((v * 37) % 64, v, 3, 32));
   }
+
+  using Key = std::tuple<VertexId, VertexId, Label, std::vector<uint8_t>>;
+  auto key_of = [](const EdgeRecord& e) { return Key{e.src, e.dst, e.label, e.payload}; };
+  const std::vector<uint64_t> parent_prefix = {store_.EdgesAtVersion(0, v_init),
+                                               store_.EdgesAtVersion(0, v_before)};
+  ASSERT_EQ(parent_prefix[0], 64u);
+  ASSERT_EQ(parent_prefix[1], 96u);
+
+  size_t pieces = store_.SplitAndRewrite(0, all, 1024);
+  ASSERT_GT(pieces, 1u);
+  ASSERT_EQ(store_.NumPartitions(), pieces);
+  std::vector<uint64_t> prefix_sums(parent_prefix.size(), 0);
+  for (size_t p = 0; p < pieces; ++p) {
+    const PartitionInfo& info = store_.Info(p);
+    // The piece holds exactly its interval's edges, in the parent's order.
+    std::vector<Key> expected;
+    for (const EdgeRecord& e : all) {
+      if (e.src >= info.lo && e.src < info.hi) {
+        expected.push_back(key_of(e));
+      }
+    }
+    std::vector<Key> got;
+    for (const EdgeRecord& e : store_.Load(p)) {
+      got.push_back(key_of(e));
+    }
+    EXPECT_EQ(got, expected) << "piece " << p << " lost load order";
+    // Each old prefix is the parent's prefix filtered to the interval.
+    const uint64_t versions[] = {v_init, v_before};
+    for (size_t k = 0; k < parent_prefix.size(); ++k) {
+      uint64_t owned = 0;
+      for (size_t e = 0; e < parent_prefix[k]; ++e) {
+        owned += all[e].src >= info.lo && all[e].src < info.hi ? 1 : 0;
+      }
+      EXPECT_EQ(store_.EdgesAtVersion(p, versions[k]), owned)
+          << "piece " << p << " version " << versions[k];
+      prefix_sums[k] += store_.EdgesAtVersion(p, versions[k]);
+    }
+    EXPECT_EQ(store_.EdgesAtVersion(p, info.version), info.edges);
+  }
+  EXPECT_EQ(prefix_sums, parent_prefix);
 }
 
 TEST_F(PartitionStoreTest, EmptyGraphStillHasOnePartition) {

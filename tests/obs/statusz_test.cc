@@ -10,6 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <thread>
 
@@ -198,6 +201,11 @@ TEST(StatuszTest, ScrapeDuringAnalysisRun) {
 
   std::atomic<bool> done{false};
   std::atomic<int> scrapes{0};
+  // The run starts only once the scraper has a page back, so a fast run
+  // cannot finish before the first scrape lands; the scraper keeps going
+  // for the whole run.
+  std::mutex latch_mu;
+  std::condition_variable latch_cv;
   std::thread scraper([&] {
     while (!done.load(std::memory_order_acquire)) {
       int status = 0;
@@ -205,7 +213,11 @@ TEST(StatuszTest, ScrapeDuringAnalysisRun) {
       if (status == 200) {
         std::string error;
         EXPECT_TRUE(ParseJson(body, &error).has_value()) << error;
-        scrapes.fetch_add(1, std::memory_order_relaxed);
+        {
+          std::lock_guard<std::mutex> lock(latch_mu);
+          scrapes.fetch_add(1, std::memory_order_relaxed);
+        }
+        latch_cv.notify_all();
       }
       std::string metrics = HttpGet(port, "/metricsz", &status);
       if (status == 200) {
@@ -213,6 +225,10 @@ TEST(StatuszTest, ScrapeDuringAnalysisRun) {
       }
     }
   });
+  {
+    std::unique_lock<std::mutex> lock(latch_mu);
+    latch_cv.wait_for(lock, std::chrono::seconds(30), [&] { return scrapes.load() > 0; });
+  }
   GrappleResult result = analyzer.Check(AllBuiltinCheckers());
   done.store(true, std::memory_order_release);
   scraper.join();
