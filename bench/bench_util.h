@@ -8,7 +8,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/checker/builtin_checkers.h"
 #include "src/core/grapple.h"
@@ -59,6 +62,33 @@ inline void AddSubject(obs::BenchReport* bench, const std::string& subject,
   report.subject = subject;
   bench->Add(std::move(report));
 }
+
+// Unsets the named environment variables for its lifetime and restores the
+// caller's values afterwards. Env overrides (GRAPPLE_THREADS,
+// GRAPPLE_IO_PIPELINE, ...) replace options outright at construction, so a
+// section that pins or A/Bs an option holds one of these around its runs.
+class ScopedEnvUnset {
+ public:
+  explicit ScopedEnvUnset(std::initializer_list<const char*> names) {
+    for (const char* name : names) {
+      const char* value = std::getenv(name);
+      if (value != nullptr) {
+        saved_.emplace_back(name, value);
+        unsetenv(name);
+      }
+    }
+  }
+  ~ScopedEnvUnset() {
+    for (const auto& [name, value] : saved_) {
+      setenv(name.c_str(), value.c_str(), 1);
+    }
+  }
+  ScopedEnvUnset(const ScopedEnvUnset&) = delete;
+  ScopedEnvUnset& operator=(const ScopedEnvUnset&) = delete;
+
+ private:
+  std::vector<std::pair<std::string, std::string>> saved_;
+};
 
 inline void PrintHeaderLine(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());

@@ -153,6 +153,43 @@ void BM_OracleNoCache(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleNoCache);
 
+// The merge hot loop as the join shards run it: several threads calling one
+// shared oracle. The payload mix is cache-hit heavy (8 payloads, so 64 keys,
+// all resident after the first pass), which leaves the merge path itself
+// (deserialize, append, serialize, memo probe, compact) as the measured
+// work. items_per_second at 4 threads over 1 thread is how far the oracle
+// lets the join shards run in parallel.
+void BM_OracleMergeContended(benchmark::State& state) {
+  static IntervalOracle oracle(&Fixture().icfet);
+  static const std::vector<std::vector<uint8_t>> payloads = [] {
+    MicroFixture& f = Fixture();
+    MethodId main = *f.program.FindMethod("main");
+    MethodId callee = *f.program.FindMethod("callee");
+    PathEncoding call = PathEncoding::Append(PathEncoding::Interval(main, 0, 2),
+                                             PathEncoding::CallEdge(0));
+    std::vector<std::vector<uint8_t>> out;
+    for (const PathEncoding& enc :
+         {PathEncoding::Interval(main, 0, 2), PathEncoding::Interval(main, 2, 5),
+          PathEncoding::Interval(main, 0, 5), PathEncoding::Interval(callee, 0, 6),
+          PathEncoding::Interval(callee, 0, 3), call,
+          PathEncoding::Append(call, PathEncoding::Interval(callee, 0, 6)),
+          InterprocEncoding()}) {
+      out.push_back(oracle.BasePayload(enc));
+    }
+    return out;
+  }();
+  const size_t n = payloads.size();
+  size_t pair = static_cast<size_t>(state.thread_index()) * 17;
+  for (auto _ : state) {
+    const auto& a = payloads[(pair / n) % n];
+    const auto& b = payloads[pair % n];
+    benchmark::DoNotOptimize(oracle.MergeAndCheck(a.data(), a.size(), b.data(), b.size()));
+    ++pair;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_OracleMergeContended)->Threads(1)->Threads(4)->UseRealTime();
+
 // Ablation: the explicit-constraint codec's merge (Table 5's baseline).
 void BM_ExplicitOracleMerge(benchmark::State& state) {
   ExplicitOracle::Options options;

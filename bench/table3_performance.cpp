@@ -164,10 +164,7 @@ void RunSchedulerSpeedup(obs::BenchReport* bench, const WorkloadConfig& preset) 
 // GRAPPLE_IO_PIPELINE overrides the option outright at engine construction,
 // so it is unset around both runs and restored afterwards.
 void RunIoPipelineComparison(obs::BenchReport* bench, const WorkloadConfig& preset) {
-  const char* env = std::getenv("GRAPPLE_IO_PIPELINE");
-  bool had_env = env != nullptr;
-  std::string saved_env = had_env ? env : "";
-  unsetenv("GRAPPLE_IO_PIPELINE");
+  ScopedEnvUnset env({"GRAPPLE_IO_PIPELINE"});
 
   GrappleOptions options;
   options.engine.memory_budget_bytes = EnvSize("GRAPPLE_IO_BUDGET_BYTES", size_t{1} << 14);
@@ -197,9 +194,6 @@ void RunIoPipelineComparison(obs::BenchReport* bench, const WorkloadConfig& pres
 
   ModeRun off = run_mode(false);
   ModeRun on = run_mode(true);
-  if (had_env) {
-    setenv("GRAPPLE_IO_PIPELINE", saved_env.c_str(), 1);
-  }
 
   bool identical = ReportFingerprint(off.result) == ReportFingerprint(on.result);
   double io_speedup = on.io_seconds > 0 ? off.io_seconds / on.io_seconds : 0;
@@ -267,10 +261,7 @@ void RunIoPipelineComparison(obs::BenchReport* bench, const WorkloadConfig& pres
 // GRAPPLE_STEAL overrides the policy outright, so it is unset around both
 // runs and restored afterwards.
 void RunTaskRuntimeAb(obs::BenchReport* bench, const WorkloadConfig& preset) {
-  const char* env = std::getenv("GRAPPLE_STEAL");
-  bool had_env = env != nullptr;
-  std::string saved_env = had_env ? env : "";
-  unsetenv("GRAPPLE_STEAL");
+  ScopedEnvUnset env({"GRAPPLE_STEAL"});
 
   GrappleOptions options;
   options.engine.memory_budget_bytes = EnvSize("GRAPPLE_IO_BUDGET_BYTES", size_t{1} << 14);
@@ -299,9 +290,6 @@ void RunTaskRuntimeAb(obs::BenchReport* bench, const WorkloadConfig& preset) {
 
   ModeRun pinned = run_mode(StealPolicy::kPinned);
   ModeRun unified = run_mode(StealPolicy::kLocalityAware);
-  if (had_env) {
-    setenv("GRAPPLE_STEAL", saved_env.c_str(), 1);
-  }
 
   bool identical = ReportFingerprint(pinned.result) == ReportFingerprint(unified.result);
   double speedup =
@@ -366,18 +354,8 @@ void RunTaskRuntimeAb(obs::BenchReport* bench, const WorkloadConfig& preset) {
 // GRAPPLE_CHECKPOINT / GRAPPLE_CHECKPOINT_INTERVAL override the option at
 // engine construction, so both are unset around the runs and restored.
 void RunCheckpointOverhead(obs::BenchReport* bench, const WorkloadConfig& preset) {
-  const char* saved_names[] = {"GRAPPLE_CHECKPOINT", "GRAPPLE_CHECKPOINT_INTERVAL",
-                               "GRAPPLE_CHECKPOINT_SPACING"};
-  std::string saved_values[3];
-  bool had_env[3] = {false, false, false};
-  for (int i = 0; i < 3; ++i) {
-    const char* env = std::getenv(saved_names[i]);
-    if (env != nullptr) {
-      had_env[i] = true;
-      saved_values[i] = env;
-      unsetenv(saved_names[i]);
-    }
-  }
+  ScopedEnvUnset env(
+      {"GRAPPLE_CHECKPOINT", "GRAPPLE_CHECKPOINT_INTERVAL", "GRAPPLE_CHECKPOINT_SPACING"});
 
   GrappleOptions options;
   options.engine.memory_budget_bytes = EnvSize("GRAPPLE_IO_BUDGET_BYTES", size_t{1} << 14);
@@ -409,11 +387,6 @@ void RunCheckpointOverhead(obs::BenchReport* bench, const WorkloadConfig& preset
 
   ModeRun off = run_mode(0);
   ModeRun on = run_mode(kDefaultCheckpointInterval);
-  for (int i = 0; i < 3; ++i) {
-    if (had_env[i]) {
-      setenv(saved_names[i], saved_values[i].c_str(), 1);
-    }
-  }
 
   bool identical = ReportFingerprint(off.result) == ReportFingerprint(on.result);
   double phase_fraction = on.total_seconds > 0 ? on.ckpt_seconds / on.total_seconds : 0;
@@ -541,17 +514,7 @@ void RunProfOverhead(obs::BenchReport* bench, const WorkloadConfig& preset) {
 
   // The env knobs would force both arms the same way; measure the option
   // paths and restore the caller's environment afterwards.
-  const char* saved_names[2] = {"GRAPPLE_PROFILE", "GRAPPLE_PROFILE_HZ"};
-  std::string saved_values[2];
-  bool had_env[2] = {false, false};
-  for (int i = 0; i < 2; ++i) {
-    const char* value = std::getenv(saved_names[i]);
-    if (value != nullptr) {
-      had_env[i] = true;
-      saved_values[i] = value;
-      unsetenv(saved_names[i]);
-    }
-  }
+  ScopedEnvUnset env({"GRAPPLE_PROFILE", "GRAPPLE_PROFILE_HZ"});
 
   struct ModeRun {
     GrappleResult result;
@@ -578,11 +541,6 @@ void RunProfOverhead(obs::BenchReport* bench, const WorkloadConfig& preset) {
   const char* report_dir = std::getenv("GRAPPLE_REPORT_DIR");
   if (report_dir != nullptr && prof.total_samples > 0) {
     obs::ProfilerWriteFile(std::string(report_dir) + "/profile.bin");
-  }
-  for (int i = 0; i < 2; ++i) {
-    if (had_env[i]) {
-      setenv(saved_names[i], saved_values[i].c_str(), 1);
-    }
   }
 
   bool identical = ReportFingerprint(off.result) == ReportFingerprint(on.result);
@@ -617,58 +575,65 @@ void RunProfOverhead(obs::BenchReport* bench, const WorkloadConfig& preset) {
   bench->Add(std::move(report));
 }
 
-// Per-commit smoke gate for out-of-core join work. hbase@0.3 (pinned:
-// GRAPPLE_SCALE does not move it) runs the alias phase once at the default
-// 64 MB budget, where the closure stays in one partition, and once at 4 MB,
-// where it repartitions. Splitting must not make the closure redo joins it
-// already did (DESIGN.md, "Delta frontier across repartitioning"), so the
-// gated gauges are the joins ratio (4 MB over 64 MB), the split count (the
-// subject must actually take the split path) and whether both budgets reach
-// the same alias closure. Join counts are deterministic, so unlike the
-// wall-clock A/Bs above this gate is exact on any machine.
-void RunRepartition(obs::BenchReport* bench) {
-  const WorkloadConfig preset = HBasePreset(0.3);
-  Workload workload = GenerateWorkload(preset);
+// One alias-phase-only run of a pinned subject (GRAPPLE_SCALE does not move
+// it), shared by the repartition and join-parallelism gates below.
+struct AliasRun {
+  PhaseStats alias;
+  size_t alias_pairs = 0;
+  double seconds = 0;  // whole Check({}): frontend plus alias phase
+};
 
-  struct BudgetRun {
-    uint64_t budget_bytes = 0;
-    PhaseStats alias;
-    size_t alias_pairs = 0;
-    double seconds = 0;
-  };
-  auto run_budget = [&](uint64_t budget_bytes) {
+AliasRun RunAliasPhase(const Workload& workload, const GrappleOptions& options) {
+  Program program = workload.program;
+  AliasRun run;
+  WallTimer timer;
+  Grapple grapple(std::move(program), options);
+  GrappleResult result = grapple.Check({});  // phase 1 (alias) only
+  run.seconds = timer.ElapsedSeconds();
+  run.alias = result.alias;
+  run.alias_pairs = result.alias_pairs;
+  return run;
+}
+
+bool SameAliasClosure(const AliasRun& a, const AliasRun& b) {
+  return a.alias.edges_after == b.alias.edges_after && a.alias_pairs == b.alias_pairs;
+}
+
+// Per-commit smoke gate for out-of-core join work. hbase@0.3 runs the alias
+// phase once at the default 64 MB budget, where the closure stays in one
+// partition, and once at 4 MB, where it repartitions. Splitting must not
+// make the closure redo joins it already did (DESIGN.md, "Delta frontier
+// across repartitioning"), so the gated gauges are the joins ratio (4 MB
+// over 64 MB), the split count (the subject must actually take the split
+// path) and whether both budgets reach the same alias closure. Join counts
+// are deterministic, so unlike the wall-clock A/Bs above this gate is exact
+// on any machine.
+void RunRepartition(obs::BenchReport* bench, const WorkloadConfig& preset,
+                    const Workload& workload) {
+  const uint64_t budgets[2] = {uint64_t{64} << 20, uint64_t{4} << 20};
+  AliasRun runs[2];
+  for (int i = 0; i < 2; ++i) {
     GrappleOptions options;
-    options.engine.memory_budget_bytes = budget_bytes;
-    Program program = workload.program;
-    BudgetRun run;
-    run.budget_bytes = budget_bytes;
-    WallTimer timer;
-    Grapple grapple(std::move(program), options);
-    GrappleResult result = grapple.Check({});  // phase 1 (alias) only
-    run.seconds = timer.ElapsedSeconds();
-    run.alias = result.alias;
-    run.alias_pairs = result.alias_pairs;
-    return run;
-  };
-
-  BudgetRun in_memory = run_budget(uint64_t{64} << 20);
-  BudgetRun spilled = run_budget(uint64_t{4} << 20);
+    options.engine.memory_budget_bytes = budgets[i];
+    runs[i] = RunAliasPhase(workload, options);
+  }
+  const AliasRun& in_memory = runs[0];
+  const AliasRun& spilled = runs[1];
   double joins_ratio = in_memory.alias.engine.joins_attempted > 0
                            ? static_cast<double>(spilled.alias.engine.joins_attempted) /
                                  static_cast<double>(in_memory.alias.engine.joins_attempted)
                            : 0;
-  bool identical = in_memory.alias.edges_after == spilled.alias.edges_after &&
-                   in_memory.alias_pairs == spilled.alias_pairs;
+  bool identical = SameAliasClosure(in_memory, spilled);
 
   PrintHeaderLine("Repartitioning: alias closure at 64 MB vs 4 MB");
   std::printf("%-11s %7s %12s %7s %6s %11s %9s %9s\n", "Subject", "budget", "joins", "splits",
               "#part", "#EA", "flowsTo", "time");
-  for (const BudgetRun* run : {&in_memory, &spilled}) {
+  for (int i = 0; i < 2; ++i) {
     std::printf("%-11s %5" PRIu64 "MB %12" PRIu64 " %7" PRIu64 " %6zu %11" PRIu64 " %9zu %9s\n",
-                preset.name.c_str(), run->budget_bytes >> 20, run->alias.engine.joins_attempted,
-                run->alias.engine.partition_splits, run->alias.engine.peak_partitions,
-                run->alias.edges_after, run->alias_pairs,
-                FormatDuration(run->seconds).c_str());
+                preset.name.c_str(), budgets[i] >> 20, runs[i].alias.engine.joins_attempted,
+                runs[i].alias.engine.partition_splits, runs[i].alias.engine.peak_partitions,
+                runs[i].alias.edges_after, runs[i].alias_pairs,
+                FormatDuration(runs[i].seconds).c_str());
   }
   std::printf("joins ratio %.2fx (gated <= 1.10); closure %s across budgets.\n", joins_ratio,
               identical ? "identical" : "DIFFERS");
@@ -690,6 +655,58 @@ void RunRepartition(obs::BenchReport* bench) {
       static_cast<double>(spilled.alias.engine.peak_partitions);
   phase.metrics.gauges["rp_seconds_in_memory"] = in_memory.seconds;
   phase.metrics.gauges["rp_seconds_spilled"] = spilled.seconds;
+  report.phases.push_back(std::move(phase));
+  bench->Add(std::move(report));
+}
+
+// Per-commit gauge of how far the join shards run in parallel. The same
+// pinned hbase@0.3 alias phase runs at num_threads 1 and 4 (GRAPPLE_THREADS
+// is unset around both, since it would force both arms the same way).
+// jp_speedup is the alias-phase wall time at 1 thread over 4 threads,
+// floored at 1.0: more join shards must never make the closure slower. The
+// oracle's memo is the only state the shards share and cannot change an
+// answer (DESIGN.md, "Oracle concurrency"), so the closure and the joins
+// attempted must be identical at both thread counts; those two gauges are
+// exact on any machine.
+void RunJoinParallel(obs::BenchReport* bench, const WorkloadConfig& preset,
+                     const Workload& workload) {
+  ScopedEnvUnset env({"GRAPPLE_THREADS"});
+  const size_t thread_counts[2] = {1, 4};
+  AliasRun runs[2];
+  for (int i = 0; i < 2; ++i) {
+    GrappleOptions options;
+    options.scheduling.num_threads = thread_counts[i];
+    runs[i] = RunAliasPhase(workload, options);
+  }
+  const AliasRun& one = runs[0];
+  const AliasRun& four = runs[1];
+  double speedup = four.alias.seconds > 0 ? one.alias.seconds / four.alias.seconds : 0;
+  bool identical = SameAliasClosure(one, four);
+  bool joins_equal = one.alias.engine.joins_attempted == four.alias.engine.joins_attempted;
+
+  PrintHeaderLine("Join parallelism: alias closure at 1 vs 4 threads");
+  std::printf("%-11s %7s %12s %11s %9s %9s\n", "Subject", "threads", "joins", "#EA", "flowsTo",
+              "alias(s)");
+  for (int i = 0; i < 2; ++i) {
+    std::printf("%-11s %7zu %12" PRIu64 " %11" PRIu64 " %9zu %9.3f\n", preset.name.c_str(),
+                thread_counts[i], runs[i].alias.engine.joins_attempted, runs[i].alias.edges_after,
+                runs[i].alias_pairs, runs[i].alias.seconds);
+  }
+  std::printf("speedup %.2fx at 4 threads (floored at 1.0); closure %s, joins %s.\n", speedup,
+              identical ? "identical" : "DIFFERS", joins_equal ? "equal" : "DIFFER");
+
+  obs::RunReport report;
+  report.subject = "join_parallel";
+  report.total_seconds = one.seconds + four.seconds;
+  obs::PhaseReport phase;
+  phase.name = "join_parallel";
+  phase.seconds = four.alias.seconds;
+  phase.metrics.gauges["jp_speedup"] = speedup;
+  phase.metrics.gauges["jp_alias_edges_identical"] = identical ? 1 : 0;
+  phase.metrics.gauges["jp_joins_equal"] = joins_equal ? 1 : 0;
+  phase.metrics.gauges["jp_alias_seconds_1"] = one.alias.seconds;
+  phase.metrics.gauges["jp_alias_seconds_4"] = four.alias.seconds;
+  phase.metrics.gauges["jp_joins"] = static_cast<double>(four.alias.engine.joins_attempted);
   report.phases.push_back(std::move(phase));
   bench->Add(std::move(report));
 }
@@ -727,7 +744,10 @@ int Main() {
   RunCheckpointOverhead(&bench, ZooKeeperPreset(scale));
   RunObsOverhead(&bench, ZooKeeperPreset(scale));
   RunProfOverhead(&bench, ZooKeeperPreset(scale));
-  RunRepartition(&bench);
+  const WorkloadConfig pinned = HBasePreset(0.3);
+  const Workload pinned_workload = GenerateWorkload(pinned);
+  RunRepartition(&bench, pinned, pinned_workload);
+  RunJoinParallel(&bench, pinned, pinned_workload);
   bench.Write();
   return 0;
 }

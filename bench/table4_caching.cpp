@@ -6,6 +6,13 @@
 // times, and the saving 1 - TWC/TOC.
 //
 // Paper: hit rates 59.9-78.0%, savings 63.7-86.7%.
+//
+// Every run uses one join thread. With more, two shards that miss the same
+// key at once both solve it (DESIGN.md, "Oracle concurrency"): results stay
+// the same, but the split between hits and solves would depend on the
+// schedule. At one thread the counts are exact, so the summed lookups and
+// hits are emitted as gauges that scripts/check_bench.py pins at the CI
+// scale.
 #include "bench/bench_util.h"
 
 namespace grapple {
@@ -34,21 +41,27 @@ CacheRunStats StatsOf(const GrappleResult& result) {
 int Main() {
   double scale = ScaleFromEnv(0.5);
   obs::BenchReport bench("table4_caching");
+  ScopedEnvUnset env({"GRAPPLE_THREADS"});
+  CacheRunStats total;
   PrintHeaderLine("Table 4: effectiveness of constraint caching");
   std::printf("%-11s %12s %12s %8s %10s %10s %8s\n", "Subject", "#Const", "#Hits", "Rate",
               "TOC(s)", "TWC(s)", "Saving");
   for (const auto& preset : AllPresets(scale)) {
     GrappleOptions no_cache;
     no_cache.engine.enable_cache = false;
+    no_cache.scheduling.num_threads = 1;
     SubjectRun cold = RunSubject(preset, no_cache);
     CacheRunStats toc = StatsOf(cold.result);
     AddSubject(&bench, preset.name + ":no_cache", cold.result);
 
     GrappleOptions with_cache;
     with_cache.engine.enable_cache = true;
+    with_cache.scheduling.num_threads = 1;
     SubjectRun warm = RunSubject(preset, with_cache);
     CacheRunStats twc = StatsOf(warm.result);
     AddSubject(&bench, preset.name + ":cache", warm.result);
+    total.lookups += twc.lookups;
+    total.hits += twc.hits;
 
     double rate = twc.lookups > 0 ? 100.0 * twc.hits / static_cast<double>(twc.lookups) : 0;
     double saving = toc.constraint_seconds > 0
@@ -59,6 +72,15 @@ int Main() {
                 rate, toc.constraint_seconds, twc.constraint_seconds, saving);
   }
   std::printf("\npaper reference: hit rates 59.9-78.0%%, savings 63.7-86.7%%\n");
+
+  obs::RunReport memo;
+  memo.subject = "memo";
+  obs::PhaseReport phase;
+  phase.name = "table4";
+  phase.metrics.gauges["t4_lookups"] = static_cast<double>(total.lookups);
+  phase.metrics.gauges["t4_hits"] = static_cast<double>(total.hits);
+  memo.phases.push_back(std::move(phase));
+  bench.Add(std::move(memo));
   bench.Write();
   return 0;
 }

@@ -233,16 +233,24 @@ void GraphEngine::ExpandEdge(const EdgeRecord& edge, std::vector<EdgeRecord>* ou
   };
   std::vector<Item> queue;
   queue.push_back({edge, -1});
-  std::unordered_set<uint64_t> seen;
-  seen.insert(EdgeTripleHash(edge.src, edge.dst, edge.label));
+  // A closure holds a handful of records, so a linear scan beats a hash set
+  // (and its allocations) here; this runs once per integrated candidate.
+  std::vector<uint64_t> seen;
+  seen.push_back(EdgeTripleHash(edge.src, edge.dst, edge.label));
+  auto first_sight = [&seen](uint64_t key) {
+    if (std::find(seen.begin(), seen.end(), key) != seen.end()) {
+      return false;
+    }
+    seen.push_back(key);
+    return true;
+  };
   while (!queue.empty()) {
     Item item = std::move(queue.back());
     queue.pop_back();
     const EdgeRecord& cur = item.record;
     int my_index = static_cast<int>(out->size());
     for (Label result : grammar_->UnaryResults(cur.label)) {
-      uint64_t key = EdgeTripleHash(cur.src, cur.dst, result);
-      if (seen.insert(key).second) {
+      if (first_sight(EdgeTripleHash(cur.src, cur.dst, result))) {
         EdgeRecord derived = cur;
         derived.label = result;
         queue.push_back({std::move(derived), my_index});
@@ -250,8 +258,7 @@ void GraphEngine::ExpandEdge(const EdgeRecord& edge, std::vector<EdgeRecord>* ou
     }
     Label mirror = grammar_->MirrorOf(cur.label);
     if (mirror != kNoLabel) {
-      uint64_t key = EdgeTripleHash(cur.dst, cur.src, mirror);
-      if (seen.insert(key).second) {
+      if (first_sight(EdgeTripleHash(cur.dst, cur.src, mirror))) {
         EdgeRecord derived;
         derived.src = cur.dst;
         derived.dst = cur.src;

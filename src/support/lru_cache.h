@@ -23,14 +23,24 @@ class LruCache {
 
   // Returns the cached value and marks the entry most-recently-used.
   std::optional<Value> Get(const Key& key) {
+    const Value* value = Find(key);
+    if (value == nullptr) {
+      return std::nullopt;
+    }
+    return *value;
+  }
+
+  // Like Get, but points at the cached value instead of copying it. The
+  // pointer stays valid until the next Put or Clear.
+  const Value* Find(const Key& key) {
     auto it = index_.find(key);
     if (it == index_.end()) {
       ++misses_;
-      return std::nullopt;
+      return nullptr;
     }
     ++hits_;
     order_.splice(order_.begin(), order_, it->second);
-    return it->second->second;
+    return &it->second->second;
   }
 
   // Inserts or overwrites; evicts the least-recently-used entry when full.
