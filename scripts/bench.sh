@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Runs every paper-reproduction bench binary and aggregates their
 # machine-readable BENCH_<name>.json reports into one BENCH_trajectory.json,
-# stamped with a schema version and the git SHA, so successive runs can be
-# diffed over the repo's history.
+# stamped with a schema version, the git SHA and the machine's core count,
+# so successive runs can be diffed over the repo's history.
 #
 # Usage:
 #   scripts/bench.sh [build-dir] [out-dir]
@@ -63,8 +63,8 @@ git_sha="$(git -C "${repo_root}" rev-parse HEAD 2>/dev/null || echo unknown)"
 trajectory="${out_dir}/BENCH_trajectory.json"
 {
   printf '{"schema":"grapple.bench_trajectory.v1","schema_version":1,'
-  printf '"git_sha":"%s","scale":%s,"checker_parallelism":%s,"benches":[' \
-    "${git_sha}" "${GRAPPLE_SCALE:-1}" "${GRAPPLE_CHECKER_PARALLELISM}"
+  printf '"git_sha":"%s","scale":%s,"checker_parallelism":%s,"cores":%s,"benches":[' \
+    "${git_sha}" "${GRAPPLE_SCALE:-1}" "${GRAPPLE_CHECKER_PARALLELISM}" "${jobs}"
   first=1
   for bench in "${benches[@]}"; do
     report="${out_dir}/BENCH_${bench}.json"
