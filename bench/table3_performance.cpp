@@ -161,6 +161,10 @@ void RunSchedulerSpeedup(obs::BenchReport* bench, const WorkloadConfig& preset) 
 // run genuinely spills: partitions split, deltas append, and the fixpoint
 // sweep re-loads partitions pair after pair — exactly the access pattern
 // the pipeline targets. Reports must be byte-identical across modes.
+// io_cache_served_frac (loads served by the write-back or prefetch cache
+// over all partition loads, pipelined run) is the gated gauge: a work count
+// that is 0 when the pipeline is off. io_speedup, a ratio of milliseconds of
+// I/O time, is reported but not gated.
 // GRAPPLE_IO_PIPELINE overrides the option outright at engine construction,
 // so it is unset around both runs and restored afterwards.
 void RunIoPipelineComparison(obs::BenchReport* bench, const WorkloadConfig& preset) {
@@ -203,6 +207,8 @@ void RunIoPipelineComparison(obs::BenchReport* bench, const WorkloadConfig& pres
   double prefetch_issued = static_cast<double>(SumCounter(on.result, "io_prefetch_issued_total"));
   double prefetch_wasted = static_cast<double>(SumCounter(on.result, "io_prefetch_wasted_total"));
   double write_cache_hits = static_cast<double>(SumCounter(on.result, "io_write_cache_hits_total"));
+  double loads_on = static_cast<double>(SumCounter(on.result, "io_partition_loads_total"));
+  double cache_served = loads_on > 0 ? (prefetch_hits + write_cache_hits) / loads_on : 0;
 
   PrintHeaderLine("Partition I/O: synchronous vs pipelined");
   std::printf("%-11s %9s %9s %8s %11s %11s %9s %10s\n", "Subject", "io(off)", "io(on)",
@@ -218,8 +224,10 @@ void RunIoPipelineComparison(obs::BenchReport* bench, const WorkloadConfig& pres
               write_cache_hits, prefetch_hits);
   std::printf("%.0f issued / %.0f wasted). wr-red is the on-disk byte saving of the\n",
               prefetch_issued, prefetch_wasted);
-  std::printf("compact block format (budget %zu KB).\n",
-              static_cast<size_t>(options.engine.memory_budget_bytes >> 10));
+  std::printf("compact block format (budget %zu KB). %.1f%% of the %.0f pipelined loads were\n",
+              static_cast<size_t>(options.engine.memory_budget_bytes >> 10),
+              100.0 * cache_served, loads_on);
+  std::printf("served from cache instead of a foreground read.\n");
 
   obs::RunReport pipeline;
   pipeline.subject = "io_pipeline";
@@ -239,6 +247,8 @@ void RunIoPipelineComparison(obs::BenchReport* bench, const WorkloadConfig& pres
   phase.metrics.gauges["io_prefetch_issued"] = prefetch_issued;
   phase.metrics.gauges["io_prefetch_wasted"] = prefetch_wasted;
   phase.metrics.gauges["io_write_cache_hits"] = write_cache_hits;
+  phase.metrics.gauges["io_loads_on"] = loads_on;
+  phase.metrics.gauges["io_cache_served_frac"] = cache_served;
   phase.metrics.gauges["io_reports_identical"] = identical ? 1 : 0;
   phase.metrics.gauges["io_budget_bytes"] =
       static_cast<double>(options.engine.memory_budget_bytes);
@@ -667,7 +677,9 @@ void RunRepartition(obs::BenchReport* bench, const WorkloadConfig& preset,
 // oracle's memo is the only state the shards share and cannot change an
 // answer (DESIGN.md, "Oracle concurrency"), so the closure and the joins
 // attempted must be identical at both thread counts; those two gauges are
-// exact on any machine.
+// exact on any machine. jp_scan_visits_per_join is the join scan's
+// efficiency: adjacency entries visited per join attempted. It is a work
+// count too (the same at any thread count), so it is gated exactly.
 void RunJoinParallel(obs::BenchReport* bench, const WorkloadConfig& preset,
                      const Workload& workload) {
   ScopedEnvUnset env({"GRAPPLE_THREADS"});
@@ -683,6 +695,12 @@ void RunJoinParallel(obs::BenchReport* bench, const WorkloadConfig& preset,
   double speedup = four.alias.seconds > 0 ? one.alias.seconds / four.alias.seconds : 0;
   bool identical = SameAliasClosure(one, four);
   bool joins_equal = one.alias.engine.joins_attempted == four.alias.engine.joins_attempted;
+  double scan_visits = static_cast<double>(
+      four.alias.engine.metrics.CounterOr("engine_join_scan_visits_total"));
+  double visits_per_join =
+      four.alias.engine.joins_attempted > 0
+          ? scan_visits / static_cast<double>(four.alias.engine.joins_attempted)
+          : 0;
 
   PrintHeaderLine("Join parallelism: alias closure at 1 vs 4 threads");
   std::printf("%-11s %7s %12s %11s %9s %9s\n", "Subject", "threads", "joins", "#EA", "flowsTo",
@@ -694,6 +712,8 @@ void RunJoinParallel(obs::BenchReport* bench, const WorkloadConfig& preset,
   }
   std::printf("speedup %.2fx at 4 threads (floored at 1.0); closure %s, joins %s.\n", speedup,
               identical ? "identical" : "DIFFERS", joins_equal ? "equal" : "DIFFER");
+  std::printf("join scan: %.0f adjacency entries visited, %.3f per join.\n", scan_visits,
+              visits_per_join);
 
   obs::RunReport report;
   report.subject = "join_parallel";
@@ -707,6 +727,8 @@ void RunJoinParallel(obs::BenchReport* bench, const WorkloadConfig& preset,
   phase.metrics.gauges["jp_alias_seconds_1"] = one.alias.seconds;
   phase.metrics.gauges["jp_alias_seconds_4"] = four.alias.seconds;
   phase.metrics.gauges["jp_joins"] = static_cast<double>(four.alias.engine.joins_attempted);
+  phase.metrics.gauges["jp_scan_visits"] = scan_visits;
+  phase.metrics.gauges["jp_scan_visits_per_join"] = visits_per_join;
   report.phases.push_back(std::move(phase));
   bench->Add(std::move(report));
 }

@@ -72,12 +72,14 @@ DEFAULT_WATCH = [
         "min": 1.0,
     },
     {
-        "key": "table3_performance/io_pipeline/io_pipeline/gauge:io_speedup",
+        # Share of the pipelined run's partition loads served by the
+        # write-back or prefetch cache instead of a foreground read. A work
+        # count, 0 with the pipeline off. It replaces the io_speedup floor
+        # and io_seconds_on ceiling, which timed 1-4 ms of I/O and tripped
+        # on loaded machines; io_speedup is still reported, ungated.
+        "key": "table3_performance/io_pipeline/io_pipeline/gauge:io_cache_served_frac",
         "direction": "higher_is_better",
-        "min": 1.2,
-        # Wall-clock ratio of millisecond-scale phases: allow wide jitter
-        # around the baseline, the floor above is the real gate.
-        "tolerance": 0.5,
+        "min": 0.75,
     },
     {
         "key": "table3_performance/io_pipeline/io_pipeline/gauge:io_bytes_written_reduction",
@@ -88,11 +90,6 @@ DEFAULT_WATCH = [
         "key": "table3_performance/io_pipeline/io_pipeline/gauge:io_reports_identical",
         "direction": "higher_is_better",
         "min": 1.0,
-    },
-    {
-        "key": "table3_performance/io_pipeline/io_pipeline/gauge:io_seconds_on",
-        "direction": "lower_is_better",
-        "tolerance": 1.0,
     },
     {
         # Share of store I/O executed on the task runtime's background
@@ -232,6 +229,16 @@ DEFAULT_WATCH = [
         "key": "table3_performance/join_parallel/join_parallel/gauge:jp_joins_equal",
         "direction": "higher_is_better",
         "min": 1.0,
+    },
+    {
+        # Join-scan efficiency on hbase@0.3: adjacency entries the
+        # label-indexed scan visited per join attempted. A work count, the
+        # same on every machine and thread count, so the ceiling is the
+        # measured value: visiting partners the grammar cannot combine
+        # (the unindexed scan it replaced measured 73.5 here) trips it.
+        "key": "table3_performance/join_parallel/join_parallel/gauge:jp_scan_visits_per_join",
+        "direction": "lower_is_better",
+        "max": 1.1893,
     },
     {
         # Alias-phase wall time at 1 thread over 4 threads. Only the floor

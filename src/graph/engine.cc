@@ -4,10 +4,10 @@
 #include <atomic>
 #include <cmath>
 #include <mutex>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "src/graph/checkpoint.h"
+#include "src/graph/integration.h"
+#include "src/graph/join_index.h"
 #include "src/obs/event_log.h"
 #include "src/obs/json.h"
 #include "src/obs/profiler.h"
@@ -23,11 +23,14 @@ namespace grapple {
 
 namespace {
 
+// A join result awaiting integration. Its payload is a span of its shard's
+// arena, shared by every candidate of the same join.
 struct Candidate {
   VertexId src = 0;
   VertexId dst = 0;
   Label label = kNoLabel;
-  std::vector<uint8_t> payload;
+  uint32_t payload_off = 0;
+  uint32_t payload_len = 0;
   // Provenance (only filled when recording): content hashes + identities of
   // the two parent edges the join consumed.
   uint64_t parent_a = 0;
@@ -36,18 +39,24 @@ struct Candidate {
   obs::ProvEdge b_edge;
 };
 
-obs::ProvEdge ProvEdgeOf(const EdgeRecord& record) {
+// One join shard's output for a round.
+struct ShardCandidates {
+  std::vector<Candidate> candidates;
+  std::vector<uint8_t> arena;
+};
+
+obs::ProvEdge ProvEdgeOf(VertexId src, VertexId dst, Label label) {
   obs::ProvEdge edge;
-  edge.src = record.src;
-  edge.dst = record.dst;
-  edge.label = record.label;
+  edge.src = src;
+  edge.dst = dst;
+  edge.label = label;
   return edge;
 }
 
 }  // namespace
 
 // In-memory view of the two loaded partitions plus everything induced while
-// they are resident.
+// they are resident, with the label-indexed adjacency the join scans.
 class GraphEngine::LoadedPair {
  public:
   struct MemEdge {
@@ -58,26 +67,16 @@ class GraphEngine::LoadedPair {
     uint32_t payload_len;
   };
 
-  LoadedPair(VertexId lo1, VertexId hi1, VertexId lo2, VertexId hi2)
-      : lo1_(lo1), hi1_(hi1), lo2_(lo2), hi2_(hi2) {}
+  LoadedPair(const Grammar* grammar, VertexId lo1, VertexId hi1, VertexId lo2, VertexId hi2)
+      : index_(grammar, lo1, hi1, lo2, hi2) {}
 
-  bool Owns(VertexId v) const {
-    return (v >= lo1_ && v < hi1_) || (v >= lo2_ && v < hi2_);
-  }
+  bool Owns(VertexId v) const { return index_.Owns(v); }
+  const JoinIndex& index() const { return index_; }
 
   size_t NumEdges() const { return edges_.size(); }
   const MemEdge& EdgeAt(size_t i) const { return edges_[i]; }
   const uint8_t* PayloadOf(const MemEdge& e) const { return arena_.data() + e.payload_off; }
   uint64_t arena_bytes() const { return arena_.size(); }
-
-  const std::vector<uint32_t>& OutOf(VertexId v) const {
-    auto it = out_.find(v);
-    return it == out_.end() ? empty_ : it->second;
-  }
-  const std::vector<uint32_t>& InOf(VertexId v) const {
-    auto it = in_.find(v);
-    return it == in_.end() ? empty_ : it->second;
-  }
 
   // Appends without any checks (caller already dedup'd globally).
   uint32_t Insert(VertexId src, VertexId dst, Label label, const uint8_t* payload, size_t len) {
@@ -90,8 +89,7 @@ class GraphEngine::LoadedPair {
     e.payload_len = static_cast<uint32_t>(len);
     arena_.insert(arena_.end(), payload, payload + len);
     edges_.push_back(e);
-    out_[src].push_back(idx);
-    in_[dst].push_back(idx);
+    index_.Add(idx, src, dst, label);
     return idx;
   }
 
@@ -105,12 +103,9 @@ class GraphEngine::LoadedPair {
   }
 
  private:
-  VertexId lo1_, hi1_, lo2_, hi2_;
   std::vector<MemEdge> edges_;
   std::vector<uint8_t> arena_;
-  std::unordered_map<VertexId, std::vector<uint32_t>> out_;
-  std::unordered_map<VertexId, std::vector<uint32_t>> in_;
-  std::vector<uint32_t> empty_;
+  JoinIndex index_;
 };
 
 GraphEngine::GraphEngine(const Grammar* grammar, ConstraintOracle* oracle, EngineOptions options)
@@ -123,6 +118,7 @@ GraphEngine::GraphEngine(const Grammar* grammar, ConstraintOracle* oracle, Engin
       c_pair_loads_(metrics_.Counter("engine_pair_loads_total")),
       c_join_rounds_(metrics_.Counter("engine_join_rounds_total")),
       c_joins_attempted_(metrics_.Counter("engine_joins_attempted_total")),
+      c_join_scan_visits_(metrics_.Counter("engine_join_scan_visits_total")),
       c_edges_added_(metrics_.Counter("engine_edges_added_total")),
       c_unsat_pruned_(metrics_.Counter("engine_unsat_pruned_total")),
       c_widened_triples_(metrics_.Counter("engine_widened_triples_total")),
@@ -222,66 +218,6 @@ void GraphEngine::AddBaseEdge(VertexId src, VertexId dst, Label label, const Pat
   pending_base_.push_back(std::move(edge));
 }
 
-void GraphEngine::ExpandEdge(const EdgeRecord& edge, std::vector<EdgeRecord>* out,
-                             std::vector<int>* parent_of) const {
-  // Closure over unary productions and mirror labels; payload shared. Each
-  // queued record remembers which `out` slot its source record will occupy,
-  // so the closure forms a forest rooted at the input edge.
-  struct Item {
-    EdgeRecord record;
-    int parent;
-  };
-  std::vector<Item> queue;
-  queue.push_back({edge, -1});
-  // A closure holds a handful of records, so a linear scan beats a hash set
-  // (and its allocations) here; this runs once per integrated candidate.
-  std::vector<uint64_t> seen;
-  seen.push_back(EdgeTripleHash(edge.src, edge.dst, edge.label));
-  auto first_sight = [&seen](uint64_t key) {
-    if (std::find(seen.begin(), seen.end(), key) != seen.end()) {
-      return false;
-    }
-    seen.push_back(key);
-    return true;
-  };
-  while (!queue.empty()) {
-    Item item = std::move(queue.back());
-    queue.pop_back();
-    const EdgeRecord& cur = item.record;
-    int my_index = static_cast<int>(out->size());
-    for (Label result : grammar_->UnaryResults(cur.label)) {
-      if (first_sight(EdgeTripleHash(cur.src, cur.dst, result))) {
-        EdgeRecord derived = cur;
-        derived.label = result;
-        queue.push_back({std::move(derived), my_index});
-      }
-    }
-    Label mirror = grammar_->MirrorOf(cur.label);
-    if (mirror != kNoLabel) {
-      if (first_sight(EdgeTripleHash(cur.dst, cur.src, mirror))) {
-        EdgeRecord derived;
-        derived.src = cur.dst;
-        derived.dst = cur.src;
-        derived.label = mirror;
-        derived.payload = cur.payload;
-        queue.push_back({std::move(derived), my_index});
-      }
-    }
-    out->push_back(std::move(item.record));
-    if (parent_of != nullptr) {
-      parent_of->push_back(item.parent);
-    }
-  }
-}
-
-// Global dedup and per-triple variant bookkeeping, kept out of the header.
-// Hash-based: a 64-bit collision silently drops an edge, with negligible
-// probability at the scales this engine targets.
-struct GraphEngineIndexHolder {
-  std::unordered_set<uint64_t> content;
-  std::unordered_map<uint64_t, uint32_t> variants;
-};
-
 GraphEngine::~GraphEngine() = default;
 
 void EngineStats::SyncFromMetrics() {
@@ -325,7 +261,7 @@ void GraphEngine::Finalize(VertexId num_vertices) {
   finalized_ = true;
   obs::ScopedSpan span("finalize", "engine");
   WallTimer timer;
-  index_ = std::make_unique<GraphEngineIndexHolder>();
+  index_ = std::make_unique<EdgeDedupIndex>();
   if (options_.checkpoint_interval > 0) {
     // Fingerprint the input (base edges + vertex count) so a manifest left
     // behind by a run over *different* inputs is rejected, not resumed.
@@ -359,34 +295,36 @@ void GraphEngine::Finalize(VertexId num_vertices) {
   // Expand unary/mirror closures and dedup.
   std::vector<EdgeRecord> expanded;
   expanded.reserve(pending_base_.size() * 2);
+  ClosureExpander expander(grammar_);
+  std::vector<uint64_t> hashes;
   for (const auto& edge : pending_base_) {
-    std::vector<EdgeRecord> closure;
-    std::vector<int> parents;
-    ExpandEdge(edge, &closure, provenance_ != nullptr ? &parents : nullptr);
-    std::vector<uint64_t> hashes(provenance_ != nullptr ? closure.size() : 0, 0);
+    const std::vector<ClosureItem>& closure = expander.Expand(edge.src, edge.dst, edge.label);
+    hashes.assign(closure.size(), 0);
     for (size_t k = 0; k < closure.size(); ++k) {
-      auto& derived = closure[k];
-      uint64_t hash = EdgeContentHash(derived.src, derived.dst, derived.label,
-                                      derived.payload.data(), derived.payload.size());
+      const ClosureItem& item = closure[k];
+      hashes[k] = EdgeContentHash(item.src, item.dst, item.label, edge.payload.data(),
+                                  edge.payload.size());
+      if (!index_->content.Insert(hashes[k])) {
+        continue;
+      }
+      ++index_->variants[EdgeTripleHash(item.src, item.dst, item.label)];
       if (provenance_ != nullptr) {
-        hashes[k] = hash;
-      }
-      if (index_->content.insert(hash).second) {
-        ++index_->variants[EdgeTripleHash(derived.src, derived.dst, derived.label)];
-        if (provenance_ != nullptr) {
-          if (parents[k] < 0) {
-            provenance_->RecordBase(hash, ProvEdgeOf(derived), derived.payload.data(),
-                                    derived.payload.size());
-          } else {
-            // closure[parents[k]] may have moved to `expanded` already; its
-            // scalar identity fields survive the move.
-            provenance_->RecordRewrite(hash, ProvEdgeOf(derived), derived.payload.data(),
-                                       derived.payload.size(), hashes[parents[k]],
-                                       ProvEdgeOf(closure[static_cast<size_t>(parents[k])]));
-          }
+        obs::ProvEdge prov = ProvEdgeOf(item.src, item.dst, item.label);
+        if (item.parent < 0) {
+          provenance_->RecordBase(hashes[k], prov, edge.payload.data(), edge.payload.size());
+        } else {
+          const ClosureItem& parent = closure[static_cast<size_t>(item.parent)];
+          provenance_->RecordRewrite(hashes[k], prov, edge.payload.data(), edge.payload.size(),
+                                     hashes[static_cast<size_t>(item.parent)],
+                                     ProvEdgeOf(parent.src, parent.dst, parent.label));
         }
-        expanded.push_back(std::move(derived));
       }
+      EdgeRecord record;
+      record.src = item.src;
+      record.dst = item.dst;
+      record.label = item.label;
+      record.payload = edge.payload;
+      expanded.push_back(std::move(record));
     }
   }
   pending_base_.clear();
@@ -453,9 +391,11 @@ bool GraphEngine::TryResume(VertexId num_vertices) {
     }
     provenance_->ResumeAt(manifest.provenance_bytes, manifest.provenance_records);
   }
-  index_->content.reserve(manifest.dedup_hashes.size());
-  index_->content.insert(manifest.dedup_hashes.begin(), manifest.dedup_hashes.end());
-  index_->variants.reserve(manifest.variants.size());
+  index_->content.Reserve(manifest.dedup_hashes.size());
+  for (uint64_t hash : manifest.dedup_hashes) {
+    index_->content.Insert(hash);
+  }
+  index_->variants.Reserve(manifest.variants.size());
   for (const auto& [triple, count] : manifest.variants) {
     index_->variants[triple] = count;
   }
@@ -493,9 +433,12 @@ void GraphEngine::WriteCheckpoint() {
   for (const auto& [pair, versions] : pair_done_) {
     manifest.pair_done.push_back({pair.first, pair.second, versions.first, versions.second});
   }
-  manifest.dedup_hashes.assign(index_->content.begin(), index_->content.end());
+  manifest.dedup_hashes.reserve(index_->content.size());
+  index_->content.ForEach([&](uint64_t hash) { manifest.dedup_hashes.push_back(hash); });
   std::sort(manifest.dedup_hashes.begin(), manifest.dedup_hashes.end());
-  manifest.variants.assign(index_->variants.begin(), index_->variants.end());
+  manifest.variants.reserve(index_->variants.size());
+  index_->variants.ForEach(
+      [&](uint64_t triple, uint32_t count) { manifest.variants.emplace_back(triple, count); });
   std::sort(manifest.variants.begin(), manifest.variants.end());
   if (provenance_ != nullptr) {
     manifest.has_provenance = true;
@@ -642,7 +585,7 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
   metrics_.Add(c_pair_loads_);
   const PartitionInfo& info_i = store_.Info(pi);
   const PartitionInfo& info_j = store_.Info(pj);
-  LoadedPair pair(info_i.lo, info_i.hi, pi == pj ? info_i.lo : info_j.lo,
+  LoadedPair pair(grammar_, info_i.lo, info_i.hi, pi == pj ? info_i.lo : info_j.lo,
                   pi == pj ? info_i.hi : info_j.hi);
 
   std::vector<EdgeRecord> loaded = store_.Load(pi);
@@ -661,15 +604,10 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
 
   ScopedPhase join_phase(&profiler_, "join");
   obs::ProfPhase prof_join_phase("join");
-  GraphEngineIndexHolder& index = *index_;
+  EdgeDedupIndex& index = *index_;
+  ClosureExpander expander(grammar_);
+  const std::vector<uint8_t> true_payload = oracle_->TruePayload();
   const bool record_prov = provenance_ != nullptr;
-  auto prov_edge_of = [](const LoadedPair::MemEdge& e) {
-    obs::ProvEdge pe;
-    pe.src = e.src;
-    pe.dst = e.dst;
-    pe.label = e.label;
-    return pe;
-  };
 
   // Delta frontier: if every join among the first EdgesAtVersion(vi) edges
   // of pi and EdgesAtVersion(vj) edges of pj is already done (pair_done_),
@@ -708,95 +646,52 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
     // are integrated in index order below, so the result is identical for
     // any worker count and any steal policy.
     size_t shards = join_shards_;
-    std::vector<std::vector<Candidate>> shard_candidates(shards);
+    std::vector<ShardCandidates> shard_candidates(shards);
     std::atomic<uint64_t> joins{0};
+    std::atomic<uint64_t> scan_visits{0};
     auto join_shard = [&](size_t shard, size_t begin, size_t end) {
       obs::ScopedSpan shard_span("join_shard", "engine");
-      auto& out = shard_candidates[shard];
+      ShardCandidates& out = shard_candidates[shard];
+      JoinIndex::Scan scan(pair.index());
       uint64_t local_joins = 0;
-      for (size_t f = begin; f < end; ++f) {
-        uint32_t idx = frontier[f];
-        const auto& e1 = pair.EdgeAt(idx);
-        // Forward: e1 as the first edge of the pair.
-        if (pair.Owns(e1.dst)) {
-          for (uint32_t idx2 : pair.OutOf(e1.dst)) {
-            const auto& e2 = pair.EdgeAt(idx2);
-            const auto& results = grammar_->BinaryResults(e1.label, e2.label);
-            if (results.empty()) {
-              continue;
-            }
-            ++local_joins;
-            auto payload = oracle_->MergeAndCheck(pair.PayloadOf(e1), e1.payload_len,
-                                                  pair.PayloadOf(e2), e2.payload_len);
-            if (!payload.has_value()) {
-              continue;
-            }
-            uint64_t hash_a = 0;
-            uint64_t hash_b = 0;
-            if (record_prov) {
-              hash_a = EdgeContentHash(e1.src, e1.dst, e1.label, pair.PayloadOf(e1),
-                                       e1.payload_len);
-              hash_b = EdgeContentHash(e2.src, e2.dst, e2.label, pair.PayloadOf(e2),
-                                       e2.payload_len);
-            }
-            for (Label result : results) {
-              Candidate c;
-              c.src = e1.src;
-              c.dst = e2.dst;
-              c.label = result;
-              c.payload = *payload;
-              if (record_prov) {
-                c.parent_a = hash_a;
-                c.parent_b = hash_b;
-                c.a_edge = prov_edge_of(e1);
-                c.b_edge = prov_edge_of(e2);
-              }
-              out.push_back(std::move(c));
-            }
-          }
+      // Joins a -> b (a.dst == b.src); a feasible result queues one
+      // candidate per rule result, all sharing one arena span.
+      auto join = [&](const LoadedPair::MemEdge& a, const LoadedPair::MemEdge& b) {
+        ++local_joins;
+        auto payload =
+            oracle_->MergeAndCheck(pair.PayloadOf(a), a.payload_len, pair.PayloadOf(b),
+                                   b.payload_len);
+        if (!payload.has_value()) {
+          return;
         }
+        Candidate c;
+        c.src = a.src;
+        c.dst = b.dst;
+        c.payload_off = static_cast<uint32_t>(out.arena.size());
+        c.payload_len = static_cast<uint32_t>(payload->size());
+        out.arena.insert(out.arena.end(), payload->begin(), payload->end());
+        if (record_prov) {
+          c.parent_a = EdgeContentHash(a.src, a.dst, a.label, pair.PayloadOf(a), a.payload_len);
+          c.parent_b = EdgeContentHash(b.src, b.dst, b.label, pair.PayloadOf(b), b.payload_len);
+          c.a_edge = ProvEdgeOf(a.src, a.dst, a.label);
+          c.b_edge = ProvEdgeOf(b.src, b.dst, b.label);
+        }
+        for (Label result : grammar_->BinaryResults(a.label, b.label)) {
+          c.label = result;
+          out.candidates.push_back(c);
+        }
+      };
+      for (size_t f = begin; f < end; ++f) {
+        const LoadedPair::MemEdge& e1 = pair.EdgeAt(frontier[f]);
+        // Forward: e1 as the first edge of the pair.
+        scan.Forward(e1.dst, e1.label, [&](uint32_t idx2) { join(e1, pair.EdgeAt(idx2)); });
         // Backward: e1 as the second edge; skip first edges that are in the
         // frontier themselves (their forward pass covers the pair).
-        for (uint32_t idx0 : pair.InOf(e1.src)) {
-          if (in_frontier[idx0]) {
-            continue;
-          }
-          const auto& e0 = pair.EdgeAt(idx0);
-          const auto& results = grammar_->BinaryResults(e0.label, e1.label);
-          if (results.empty()) {
-            continue;
-          }
-          ++local_joins;
-          auto payload = oracle_->MergeAndCheck(pair.PayloadOf(e0), e0.payload_len,
-                                                pair.PayloadOf(e1), e1.payload_len);
-          if (!payload.has_value()) {
-            continue;
-          }
-          uint64_t hash_a = 0;
-          uint64_t hash_b = 0;
-          if (record_prov) {
-            hash_a = EdgeContentHash(e0.src, e0.dst, e0.label, pair.PayloadOf(e0),
-                                     e0.payload_len);
-            hash_b = EdgeContentHash(e1.src, e1.dst, e1.label, pair.PayloadOf(e1),
-                                     e1.payload_len);
-          }
-          for (Label result : results) {
-            Candidate c;
-            c.src = e0.src;
-            c.dst = e1.dst;
-            c.label = result;
-            c.payload = *payload;
-            if (record_prov) {
-              c.parent_a = hash_a;
-              c.parent_b = hash_b;
-              c.a_edge = prov_edge_of(e0);
-              c.b_edge = prov_edge_of(e1);
-            }
-            out.push_back(std::move(c));
-          }
-        }
+        scan.Backward(e1.src, e1.label, in_frontier.data(),
+                      [&](uint32_t idx0) { join(pair.EdgeAt(idx0), e1); });
       }
       joins.fetch_add(local_joins, std::memory_order_relaxed);
+      scan_visits.fetch_add(scan.visits(), std::memory_order_relaxed);
     };
     size_t frontier_size = frontier.size();
     size_t shards_used = std::min(frontier_size, shards);
@@ -834,99 +729,73 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
       group.Wait();
     }
     metrics_.Add(c_joins_attempted_, joins.load());
+    metrics_.Add(c_join_scan_visits_, scan_visits.load());
     metrics_.Observe(h_join_round_joins_, joins.load());
 
     // --- sequential integration ---
     std::fill(in_frontier.begin(), in_frontier.end(), 0);
     std::vector<uint32_t> next_frontier;
-    // `out_hash` (when recording) receives the content hash the record ended
-    // up stored under — post-widening, and also on dedup (where it names the
-    // already-recorded edge) — so closure rewrites can reference it.
-    auto integrate = [&](EdgeRecord&& record, uint64_t parent_a, const obs::ProvEdge& a_edge,
-                         uint64_t parent_b, const obs::ProvEdge& b_edge, bool is_rewrite,
-                         uint64_t* out_hash) {
-      uint64_t triple = EdgeTripleHash(record.src, record.dst, record.label);
-      uint64_t content = EdgeContentHash(record.src, record.dst, record.label,
-                                         record.payload.data(), record.payload.size());
-      if (out_hash != nullptr) {
-        *out_hash = content;
-      }
-      if (index.content.count(content) != 0) {
-        return;
-      }
-      bool widened = false;
-      uint32_t& variant_count = index.variants[triple];
-      if (variant_count >= options_.max_variants_per_triple) {
-        // Widen: replace further variants by the always-true payload.
-        record.payload = oracle_->TruePayload();
-        content = EdgeContentHash(record.src, record.dst, record.label, record.payload.data(),
-                                  record.payload.size());
-        if (out_hash != nullptr) {
-          *out_hash = content;
-        }
-        if (index.content.count(content) != 0) {
-          return;
-        }
-        widened = true;
-        metrics_.Add(c_widened_triples_);
-      }
-      index.content.insert(content);
-      ++variant_count;
-      metrics_.Add(c_edges_added_);
-      if (record_prov) {
-        if (is_rewrite) {
-          provenance_->RecordRewrite(content, ProvEdgeOf(record), record.payload.data(),
-                                     record.payload.size(), parent_a, a_edge);
-        } else {
-          provenance_->RecordJoin(content, ProvEdgeOf(record), record.payload.data(),
-                                  record.payload.size(), parent_a, a_edge, parent_b, b_edge,
-                                  widened);
-        }
-      }
-      if (pair.Owns(record.src)) {
-        uint32_t idx = pair.Insert(record.src, record.dst, record.label, record.payload.data(),
-                                   record.payload.size());
-        next_frontier.push_back(idx);
-        in_frontier.push_back(1);
-        VertexId src = record.src;
-        if (src >= store_.Info(pi).lo && src < store_.Info(pi).hi) {
-          changed_i = true;
-        } else {
-          changed_j = true;
-        }
-      } else {
-        external.push_back(std::move(record));
-      }
-    };
-    const obs::ProvEdge no_edge;
-    for (auto& shard : shard_candidates) {
-      for (auto& candidate : shard) {
-        EdgeRecord record;
-        record.src = candidate.src;
-        record.dst = candidate.dst;
-        record.label = candidate.label;
-        record.payload = std::move(candidate.payload);
-        std::vector<EdgeRecord> closure;
-        std::vector<int> parents;
-        ExpandEdge(record, &closure, record_prov ? &parents : nullptr);
-        std::vector<uint64_t> hashes(record_prov ? closure.size() : 0, 0);
+    uint64_t round_added = 0;
+    uint64_t round_widened = 0;
+    // Content hash each closure record is stored under (or deduplicated
+    // against), so rewrites can name their parent in the provenance log.
+    std::vector<uint64_t> hashes;
+    for (const ShardCandidates& shard : shard_candidates) {
+      for (const Candidate& candidate : shard.candidates) {
+        const uint8_t* payload = shard.arena.data() + candidate.payload_off;
+        const std::vector<ClosureItem>& closure =
+            expander.Expand(candidate.src, candidate.dst, candidate.label);
+        hashes.assign(closure.size(), 0);
         for (size_t k = 0; k < closure.size(); ++k) {
-          if (!record_prov) {
-            integrate(std::move(closure[k]), 0, no_edge, 0, no_edge, false, nullptr);
-          } else if (parents[k] < 0) {
-            // The join result itself.
-            integrate(std::move(closure[k]), candidate.parent_a, candidate.a_edge,
-                      candidate.parent_b, candidate.b_edge, false, &hashes[k]);
+          const ClosureItem& item = closure[k];
+          EdgeDedupIndex::Admission admission =
+              index.Admit(item.src, item.dst, item.label, payload, candidate.payload_len,
+                          true_payload, options_.max_variants_per_triple);
+          hashes[k] = admission.content;
+          if (!admission.added) {
+            continue;
+          }
+          ++round_added;
+          round_widened += admission.widened ? 1 : 0;
+          const uint8_t* stored = admission.widened ? true_payload.data() : payload;
+          size_t stored_len = admission.widened ? true_payload.size() : candidate.payload_len;
+          if (record_prov) {
+            obs::ProvEdge prov = ProvEdgeOf(item.src, item.dst, item.label);
+            if (item.parent < 0) {
+              // The join result itself.
+              provenance_->RecordJoin(admission.content, prov, stored, stored_len,
+                                      candidate.parent_a, candidate.a_edge, candidate.parent_b,
+                                      candidate.b_edge, admission.widened);
+            } else {
+              // Unary/mirror rewrite of an earlier closure record.
+              const ClosureItem& parent = closure[static_cast<size_t>(item.parent)];
+              provenance_->RecordRewrite(admission.content, prov, stored, stored_len,
+                                         hashes[static_cast<size_t>(item.parent)],
+                                         ProvEdgeOf(parent.src, parent.dst, parent.label));
+            }
+          }
+          if (pair.Owns(item.src)) {
+            next_frontier.push_back(pair.Insert(item.src, item.dst, item.label, stored,
+                                                stored_len));
+            in_frontier.push_back(1);
+            if (item.src >= store_.Info(pi).lo && item.src < store_.Info(pi).hi) {
+              changed_i = true;
+            } else {
+              changed_j = true;
+            }
           } else {
-            // Unary/mirror rewrite of an earlier closure record (whose
-            // scalar identity fields survive its move).
-            size_t p = static_cast<size_t>(parents[k]);
-            integrate(std::move(closure[k]), hashes[p], ProvEdgeOf(closure[p]), 0, no_edge,
-                      true, &hashes[k]);
+            EdgeRecord record;
+            record.src = item.src;
+            record.dst = item.dst;
+            record.label = item.label;
+            record.payload.assign(stored, stored + stored_len);
+            external.push_back(std::move(record));
           }
         }
       }
     }
+    metrics_.Add(c_edges_added_, round_added);
+    metrics_.Add(c_widened_triples_, round_widened);
     frontier = std::move(next_frontier);
     for (uint32_t idx : frontier) {
       in_frontier[idx] = 1;

@@ -156,7 +156,7 @@ class CollectingSink : public EdgeSink {
   std::vector<CollectedEdge> edges_;
 };
 
-struct GraphEngineIndexHolder;
+struct EdgeDedupIndex;
 
 class GraphEngine : public EdgeSink {
  public:
@@ -210,13 +210,6 @@ class GraphEngine : public EdgeSink {
   // Current soft memory cap: the lease size when scheduled under a budget
   // arbiter, the static option otherwise.
   uint64_t BudgetBytes() const;
-  // Applies unary-production and mirror closure to an edge, collecting all
-  // records (including the original, at index 0) into `out`. When
-  // `parent_of` is non-null it receives, per record, the index into `out`
-  // of the record it was rewritten from (-1 for the input edge) so the
-  // caller can emit rewrite provenance.
-  void ExpandEdge(const EdgeRecord& edge, std::vector<EdgeRecord>* out,
-                  std::vector<int>* parent_of) const;
   // Attempts to restore scheduler/dedup/store/provenance state from the
   // work dir's checkpoint manifest. False (with the engine still pristine)
   // when no manifest exists, it fails validation, or it was produced by a
@@ -236,6 +229,7 @@ class GraphEngine : public EdgeSink {
   obs::MetricId c_pair_loads_;
   obs::MetricId c_join_rounds_;
   obs::MetricId c_joins_attempted_;
+  obs::MetricId c_join_scan_visits_;  // adjacency entries the join scan visited
   obs::MetricId c_edges_added_;
   obs::MetricId c_unsat_pruned_;
   obs::MetricId c_widened_triples_;
@@ -262,7 +256,8 @@ class GraphEngine : public EdgeSink {
   EngineStats stats_;
 
   std::vector<EdgeRecord> pending_base_;
-  std::unique_ptr<GraphEngineIndexHolder> index_;
+  // Global dedup and variant tables (src/graph/integration.h).
+  std::unique_ptr<EdgeDedupIndex> index_;
   bool finalized_ = false;
 
   // Pair-scheduling bookkeeping, keyed by (pi, pj) with pi <= pj: done-

@@ -77,7 +77,8 @@ std::string RenderEngineSummary(const MetricsSnapshot& s) {
       << s.CounterOr("engine_partition_splits_total") << " splits); pair loads: "
       << s.CounterOr("engine_pair_loads_total") << ", join rounds: "
       << s.CounterOr("engine_join_rounds_total") << ", joins: "
-      << s.CounterOr("engine_joins_attempted_total") << "\n";
+      << s.CounterOr("engine_joins_attempted_total") << " ("
+      << s.CounterOr("engine_join_scan_visits_total") << " adjacency visits)\n";
   uint64_t solved = s.CounterOr("oracle_constraints_checked_total");
   uint64_t hits = s.CounterOr("oracle_cache_hits_total");
   out << "constraints: " << s.CounterOr("oracle_merges_total") << " merges, " << solved << " solved, "

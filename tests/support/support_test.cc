@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <map>
+#include <set>
 
 #include "src/support/byte_io.h"
+#include "src/support/flat_hash.h"
 #include "src/support/lru_cache.h"
 #include "src/support/rng.h"
 #include "src/support/task_runtime.h"
@@ -12,6 +15,40 @@
 
 namespace grapple {
 namespace {
+
+TEST(FlatHashTest, SetAndMapMatchAReferenceAcrossGrowth) {
+  FlatHashSet64 set;
+  FlatHashMap64 map;
+  std::set<uint64_t> ref_set;
+  std::map<uint64_t, uint32_t> ref_map;
+  Rng rng(7);
+  for (int i = 0; i < 20000; ++i) {
+    // Small key range so keys repeat; key 0 (the empty-slot sentinel) too.
+    uint64_t key = rng.Below(8) == 0 ? rng.Below(4) : rng.Next() % 6000 * 0x10001;
+    EXPECT_EQ(set.Insert(key), ref_set.insert(key).second);
+    ++map[key];
+    ++ref_map[key];
+    uint64_t probe = rng.Next() % 6000 * 0x10001;
+    EXPECT_EQ(set.Contains(probe), ref_set.count(probe) > 0);
+  }
+  EXPECT_EQ(set.size(), ref_set.size());
+  EXPECT_EQ(map.size(), ref_map.size());
+  std::vector<uint64_t> keys;
+  set.ForEach([&](uint64_t key) { keys.push_back(key); });
+  std::sort(keys.begin(), keys.end());
+  EXPECT_EQ(keys, std::vector<uint64_t>(ref_set.begin(), ref_set.end()));
+  std::vector<std::pair<uint64_t, uint32_t>> entries;
+  map.ForEach([&](uint64_t key, uint32_t value) { entries.emplace_back(key, value); });
+  std::sort(entries.begin(), entries.end());
+  std::vector<std::pair<uint64_t, uint32_t>> ref_entries(ref_map.begin(), ref_map.end());
+  EXPECT_EQ(entries, ref_entries);
+  // Reserve keeps contents.
+  set.Reserve(100000);
+  map.Reserve(100000);
+  EXPECT_EQ(set.size(), ref_set.size());
+  EXPECT_TRUE(set.Contains(keys.back()));
+  EXPECT_EQ(map[entries.back().first], entries.back().second);
+}
 
 TEST(ByteIoTest, VarintRoundTrip) {
   std::vector<uint64_t> values = {0, 1, 127, 128, 300, 16383, 16384, (uint64_t{1} << 32) + 7,
