@@ -22,14 +22,17 @@
 #                            # run with GRAPPLE_STATUSZ on, all five
 #                            # endpoints (/healthz /statusz /metricsz
 #                            # /tracez /profilez) scraped and validated
-#                            # mid-run
+#                            # mid-run; then the example pipeline under
+#                            # GRAPPLE_TRACE, whose Chrome trace must load
+#                            # and hold matched join and io B/E spans
 #   scripts/ci.sh profile    # sampling-profiler smoke: a profiled run of
 #                            # the example pipeline (GRAPPLE_PROFILE=on),
 #                            # profile.bin decoded via grapple-prof (table
 #                            # + --json round-trip) and analyze_file
 #                            # --profile (collapsed stacks), and the report
 #                            # byte-compared against an unprofiled run
-#   scripts/ci.sh service    # grappled daemon smoke: ephemeral port, a
+#   scripts/ci.sh service    # grappled daemon smoke: --slots 0 must exit 2
+#                            # with a named error; then ephemeral port, a
 #                            # two-tenant burst through grapple-client with
 #                            # /statusz + /metricsz scraped mid-run, every
 #                            # response byte-compared against a cold
@@ -264,6 +267,36 @@ run_obs_smoke() {
   grep -q '^# HELP grapple_' "${out_dir}/metricsz.txt"
   grep -q '^grapple_' "${out_dir}/metricsz.txt"
   echo "==> [obs] all five endpoints scraped and validated mid-run"
+
+  echo "==> [obs] GRAPPLE_TRACE export of the example pipeline"
+  # Exit 1 just means "reports found"; 2 and up are real failures.
+  local trace_rc=0
+  GRAPPLE_TRACE="${out_dir}/trace.json" "${build_dir}/examples/analyze_file" \
+    "${repo_root}/examples/testdata/leaky.grap" > /dev/null 2>&1 || trace_rc=$?
+  if [[ "${trace_rc}" -gt 1 ]]; then
+    echo "obs: analyze_file under GRAPPLE_TRACE failed with rc=${trace_rc}" >&2
+    return 1
+  fi
+  python3 -m json.tool "${out_dir}/trace.json" > /dev/null
+  python3 - "${out_dir}/trace.json" <<'PY'
+import json
+import sys
+
+with open(sys.argv[1], "r", encoding="utf-8") as f:
+    events = json.load(f)["traceEvents"]
+open_spans = {}
+matched = set()
+for event in events:
+    if event["ph"] == "B":
+        open_spans.setdefault(event["tid"], []).append(event["name"])
+    elif event["ph"] == "E":
+        stack = open_spans.get(event["tid"], [])
+        assert stack and stack[-1] == event["name"], ("unmatched E", event)
+        matched.add(stack.pop())
+for name in ("join", "io"):
+    assert name in matched, (name, sorted(matched))
+PY
+  echo "==> [obs] trace loads with matched join and io B/E spans"
 }
 
 # Sampling-profiler smoke: one profiled run of the example pipeline, then
@@ -336,6 +369,16 @@ run_service_smoke() {
     return 1
   fi
   test -s "${out_dir}/ref.json"
+
+  echo "==> [service] --slots 0 is a named usage error, not an abort"
+  local slots_rc=0
+  "${build_dir}/tools/grappled" --slots 0 2> "${out_dir}/slots0.log" || slots_rc=$?
+  if [[ "${slots_rc}" -ne 2 ]] \
+      || ! grep -q -- '--slots must be a positive integer' "${out_dir}/slots0.log"; then
+    echo "service: grappled --slots 0 exited ${slots_rc}, want 2 with a named error" >&2
+    cat "${out_dir}/slots0.log" >&2
+    return 1
+  fi
 
   echo "==> [service] start grappled on an ephemeral port"
   "${build_dir}/tools/grappled" --port 0 --port-file "${out_dir}/port" \

@@ -12,7 +12,7 @@
 #include "src/obs/json.h"
 #include "src/obs/profiler.h"
 #include "src/obs/sampler.h"
-#include "src/obs/trace.h"
+#include "src/obs/scope.h"
 #include "src/support/env.h"
 #include "src/support/event_hook.h"
 #include "src/support/logging.h"
@@ -22,6 +22,9 @@
 namespace grapple {
 
 namespace {
+
+const obs::ScopeName kAliasScope("alias");
+const obs::ScopeName kFrontendScope("frontend");
 
 // The field universe: every field name stored or loaded anywhere.
 void CollectFields(const std::vector<Stmt>& block, std::unordered_set<std::string>* out) {
@@ -223,7 +226,13 @@ Grapple::Grapple(Program program, GrappleOptions options)
     }
     GRAPPLE_CHECK(false) << "invalid GrappleOptions: " << joined;
   }
-  obs::InitTracingFromEnv();
+  // Flight recorder: always on (bounded overhead). Installed first so the
+  // frontend scope below is recorded; the crash-dump path is claimed once
+  // the work dir is known.
+  obs::EventLogInstall();
+  obs::EventLogSetCapacity(static_cast<size_t>(std::max<int64_t>(
+      1, EnvInt64("GRAPPLE_EVENTLOG_EVENTS",
+                  static_cast<int64_t>(options_.observability.event_log_capacity)))));
   // One scheduler for the whole session (see Scheduling's worker formula):
   // checker tasks, join shards, and I/O strands share these workers instead
   // of carving the machine into per-purpose pools.
@@ -245,11 +254,13 @@ Grapple::Grapple(Program program, GrappleOptions options)
   io_policy.backoff_base_us = static_cast<uint32_t>(std::max<int64_t>(
       0, EnvInt64("GRAPPLE_IO_BACKOFF_US", options_.robustness.backoff_base_us)));
   SetIoRetryPolicy(io_policy);
-  obs::ScopedSpan span("frontend", "phase");
   WallTimer timer;
-  UnrollLoops(program_.get(), options_.precision.loop_unroll);
-  call_graph_ = std::make_unique<CallGraph>(*program_);
-  icfet_ = BuildIcfet(*program_, *call_graph_, options_.precision.icfet);
+  {
+    obs::Scope scope(kFrontendScope);
+    UnrollLoops(program_.get(), options_.precision.loop_unroll);
+    call_graph_ = std::make_unique<CallGraph>(*program_);
+    icfet_ = BuildIcfet(*program_, *call_graph_, options_.precision.icfet);
+  }
   frontend_seconds_ = timer.ElapsedSeconds();
   if (options_.work_dir.empty()) {
     temp_dir_ = std::make_unique<TempDir>("grapple-work");
@@ -258,13 +269,9 @@ Grapple::Grapple(Program program, GrappleOptions options)
     work_dir_ = options_.work_dir;
   }
 
-  // Flight recorder: always on (bounded overhead), dumped to the session's
-  // work dir on crash paths. The facade claims the dump path outright;
-  // engines only fill it in when nobody else has (only_if_unset).
-  obs::EventLogInstall();
-  obs::EventLogSetCapacity(static_cast<size_t>(std::max<int64_t>(
-      1, EnvInt64("GRAPPLE_EVENTLOG_EVENTS",
-                  static_cast<int64_t>(options_.observability.event_log_capacity)))));
+  // The flight recorder dumps to the session's work dir on crash paths. The
+  // facade claims the dump path outright; engines only fill it in when
+  // nobody else has (only_if_unset).
   obs::EventLogSetCrashDumpPath(work_dir_ + "/flightrec.bin");
 
   // Live introspection endpoint: off unless the option or GRAPPLE_STATUSZ
@@ -398,12 +405,13 @@ const Grapple::AliasPhase& Grapple::EnsureAliasPhase() {
         options_.observability.witness == obs::WitnessMode::kFull;
     alias->engine =
         std::make_unique<GraphEngine>(&alias->grammar, alias->oracle.get(), engine_options);
-    auto alias_span = std::make_unique<obs::ScopedSpan>("alias_phase", "phase");
-    alias->graph = std::make_unique<AliasGraph>(*program_, *call_graph_, icfet_, alias->labels,
-                                               alias->engine.get());
-    alias->engine->Finalize(alias->graph->num_vertices());
-    alias->engine->Run();
-    alias_span.reset();
+    {
+      obs::Scope scope(kAliasScope);
+      alias->graph = std::make_unique<AliasGraph>(*program_, *call_graph_, icfet_,
+                                                 alias->labels, alias->engine.get());
+      alias->engine->Finalize(alias->graph->num_vertices());
+      alias->engine->Run();
+    }
     alias->stats.num_vertices = alias->graph->num_vertices();
     alias->stats.edges_before = alias->engine->stats().base_edges;
     alias->stats.edges_after = alias->engine->stats().final_edges;
@@ -442,7 +450,7 @@ CheckerRunResult Grapple::CheckOne(const FsmSpec& spec, BudgetLease* lease,
   WallTimer checker_timer;
   CheckerRunResult checker_result;
   checker_result.checker = spec.fsm.name();
-  obs::ScopedSpan checker_span(obs::InternSpanName("typestate:" + spec.fsm.name()), "phase");
+  obs::Scope checker_scope(obs::ScopeName("typestate:" + spec.fsm.name()));
   uint32_t name_id = obs::EventLogInternString(spec.fsm.name());
   obs::ProfChecker prof_checker(name_id);
   evt::Emit(evt::kCheckerStart, name_id);

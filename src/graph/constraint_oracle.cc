@@ -5,7 +5,6 @@
 #include <cstring>
 #include <thread>
 
-#include "src/obs/trace.h"
 #include "src/support/event_hook.h"
 
 namespace grapple {
@@ -127,7 +126,6 @@ SolveResult IntervalOracle::CheckEncoding(const PathEncoding& enc, std::vector<u
 std::optional<std::vector<uint8_t>> IntervalOracle::MergeAndCheck(const uint8_t* a, size_t a_len,
                                                                   const uint8_t* b,
                                                                   size_t b_len) {
-  obs::ScopedSpan span("merge_check", "oracle");
   metrics_.Add(c_merges_);
   WallTimer lookup_timer;
   ByteReader reader_a(a, a_len);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <mutex>
 
 #include "src/graph/checkpoint.h"
@@ -12,7 +11,7 @@
 #include "src/obs/json.h"
 #include "src/obs/profiler.h"
 #include "src/obs/report.h"
-#include "src/obs/trace.h"
+#include "src/obs/scope.h"
 #include "src/support/byte_io.h"
 #include "src/support/env.h"
 #include "src/support/event_hook.h"
@@ -22,6 +21,13 @@
 namespace grapple {
 
 namespace {
+
+const obs::ScopeName kCkptScope("ckpt");
+const obs::ScopeName kFinalizeScope("finalize");
+const obs::ScopeName kJoinRoundScope("join_round");
+const obs::ScopeName kJoinScope("join");
+const obs::ScopeName kJoinShardScope("join_shard");
+const obs::ScopeName kRunScope("run");
 
 // A join result awaiting integration. Its payload is a span of its shard's
 // arena, shared by every candidate of the same join.
@@ -113,6 +119,8 @@ GraphEngine::GraphEngine(const Grammar* grammar, ConstraintOracle* oracle, Engin
       oracle_(oracle),
       options_(std::move(options)),
       // Canonical snake_case + unit-suffix names (DESIGN.md §8).
+      c_phase_join_ns_(metrics_.Counter("phase_join_ns")),
+      c_phase_ckpt_ns_(metrics_.Counter("phase_ckpt_ns")),
       c_base_edges_(metrics_.Counter("engine_base_edges_total")),
       c_final_edges_(metrics_.Counter("engine_final_edges_total")),
       c_pair_loads_(metrics_.Counter("engine_pair_loads_total")),
@@ -145,11 +153,10 @@ GraphEngine::GraphEngine(const Grammar* grammar, ConstraintOracle* oracle, Engin
                                ResolveStealPolicy(StealPolicy::kLocalityAware)})),
       runtime_(options_.runtime != nullptr ? options_.runtime : owned_runtime_.get()),
       join_shards_(ResolveThreadCount(options_.num_threads)),
-      store_(options_.work_dir, &profiler_, &metrics_,
+      store_(options_.work_dir, &metrics_,
              PartitionStorePipeline{ResolveIoPipeline(options_.io_pipeline),
                                     options_.budget_lease, options_.memory_budget_bytes,
                                     runtime_}) {
-  obs::InitTracingFromEnv();
   obs::EventLogInstall();
   // Propose this engine's work dir as the crash-dump target; the Grapple
   // facade (when present) has already claimed the run work dir.
@@ -259,7 +266,7 @@ std::string EngineStats::ToString() const { return obs::RenderEngineSummary(metr
 void GraphEngine::Finalize(VertexId num_vertices) {
   GRAPPLE_CHECK(!finalized_);
   finalized_ = true;
-  obs::ScopedSpan span("finalize", "engine");
+  obs::Scope scope(kFinalizeScope);
   WallTimer timer;
   index_ = std::make_unique<EdgeDedupIndex>();
   if (options_.checkpoint_interval > 0) {
@@ -413,9 +420,7 @@ bool GraphEngine::TryResume(VertexId num_vertices) {
 
 void GraphEngine::WriteCheckpoint() {
   fault::CrashPoint("ckpt_begin");
-  ScopedPhase ckpt_phase(&profiler_, "ckpt");
-  obs::ProfPhase prof_phase("ckpt");
-  obs::ScopedSpan span("checkpoint", "engine");
+  obs::Scope scope(kCkptScope, &metrics_, c_phase_ckpt_ns_);
   // Quiesce: every queued write must be on disk (well, in the page cache —
   // the threat model is process death, see checkpoint.h) before the
   // manifest that references those bytes is published.
@@ -463,7 +468,7 @@ void GraphEngine::WriteCheckpoint() {
 
 void GraphEngine::Run() {
   GRAPPLE_CHECK(finalized_) << "call Finalize before Run";
-  obs::ScopedSpan span("engine_run", "engine");
+  obs::Scope scope(kRunScope);
   evt::Emit(evt::kRunStart, store_.NumPartitions());
   bool timed_out = false;
   WallTimer timer;
@@ -538,8 +543,8 @@ void GraphEngine::Run() {
   metrics_.SetGauge("engine_num_partitions", static_cast<double>(store_.NumPartitions()));
   metrics_.MaxGauge("engine_peak_partitions", static_cast<double>(store_.NumPartitions()));
   metrics_.SetGauge("engine_timed_out", timed_out ? 1.0 : 0.0);
-  // The registry (merged with phase timers and the oracle) is the source of
-  // truth; the legacy named fields become a view over it.
+  // The registry (merged with the oracle's) is the source of truth; the
+  // legacy named fields become a view over it.
   stats_.metrics = Metrics();
   stats_.SyncFromMetrics();
 }
@@ -567,10 +572,6 @@ bool GraphEngine::PredictNextPair(size_t pi, size_t pj, size_t* next_i, size_t* 
 
 obs::MetricsSnapshot GraphEngine::Metrics() const {
   obs::MetricsSnapshot snapshot = metrics_.Snapshot();
-  for (const auto& [name, seconds] : profiler_.Snapshot()) {
-    uint64_t nanos = seconds <= 0 ? 0 : static_cast<uint64_t>(std::llround(seconds * 1e9));
-    snapshot.counters[std::string(obs::kPhaseNsPrefix) + name + obs::kPhaseNsSuffix] += nanos;
-  }
   snapshot.Merge(oracle_->Metrics());
   // Process-wide robustness gauges (byte_io retries, fault shim). Gauges,
   // not counters: several engines in one process observe the same totals,
@@ -581,7 +582,6 @@ obs::MetricsSnapshot GraphEngine::Metrics() const {
 }
 
 void GraphEngine::ProcessPair(size_t pi, size_t pj) {
-  obs::ScopedSpan span("process_pair", "engine");
   metrics_.Add(c_pair_loads_);
   const PartitionInfo& info_i = store_.Info(pi);
   const PartitionInfo& info_j = store_.Info(pj);
@@ -602,8 +602,7 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
   loaded.clear();
   loaded.shrink_to_fit();
 
-  ScopedPhase join_phase(&profiler_, "join");
-  obs::ProfPhase prof_join_phase("join");
+  obs::Scope scope(kJoinScope, &metrics_, c_phase_join_ns_);
   EdgeDedupIndex& index = *index_;
   ClosureExpander expander(grammar_);
   const std::vector<uint8_t> true_payload = oracle_->TruePayload();
@@ -639,7 +638,7 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
 
   while (!frontier.empty()) {
     metrics_.Add(c_join_rounds_);
-    obs::ScopedSpan round_span("join_round", "engine");
+    obs::Scope round_scope(kJoinRoundScope);
     // --- parallel candidate generation ---
     // Shard count is pinned to the configured join parallelism, not to the
     // runtime's worker count: shards cover contiguous frontier ranges and
@@ -650,7 +649,7 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
     std::atomic<uint64_t> joins{0};
     std::atomic<uint64_t> scan_visits{0};
     auto join_shard = [&](size_t shard, size_t begin, size_t end) {
-      obs::ScopedSpan shard_span("join_shard", "engine");
+      obs::Scope shard_scope(kJoinShardScope);
       ShardCandidates& out = shard_candidates[shard];
       JoinIndex::Scan scan(pair.index());
       uint64_t local_joins = 0;
@@ -722,7 +721,6 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
                        obs::ProfChecker prof_checker(checker);
                        obs::ProfPair prof_pair(static_cast<uint32_t>(pi),
                                                static_cast<uint32_t>(pj));
-                       obs::ProfPhase prof_phase("join");
                        join_shard(shard, begin, end);
                      });
       }

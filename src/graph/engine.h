@@ -99,7 +99,7 @@ struct EngineOptions {
 // named fields are a convenience view populated from the merged snapshot
 // when the engine finishes (plus mid-ingestion by Finalize), kept for
 // existing call sites. `metrics` carries the full snapshot — engine and
-// oracle counters, phase timer buckets as "phase_<name>_ns", histograms.
+// oracle counters, obs::Scope phase timers as "phase_<name>_ns", histograms.
 struct EngineStats {
   uint64_t base_edges = 0;
   uint64_t final_edges = 0;
@@ -116,9 +116,10 @@ struct EngineStats {
   double preprocess_seconds = 0;
   double compute_seconds = 0;
   OracleStats oracle;
-  // "io" / "lookup" / "solve" / "join" buckets (Figure 9).
+  // "io" / "join" / "ckpt" phase timers (Figure 9 with the oracle's
+  // lookup/solve seconds).
   std::map<std::string, double> phase_seconds;
-  // Full merged snapshot (engine registry + phase timers + oracle).
+  // Full merged snapshot (engine registry, phase timers included + oracle).
   obs::MetricsSnapshot metrics;
 
   // Rebuilds the named fields from `metrics` (counter names as in
@@ -189,8 +190,8 @@ class GraphEngine : public EdgeSink {
   // report alongside the recording-side counters.
   void ObserveWitnessDecode(uint64_t nanos);
 
-  // Merged metrics snapshot: engine registry (counters, io_*, gauges) +
-  // phase timer buckets (as "phase_<name>_ns") + the oracle's snapshot.
+  // Merged metrics snapshot: engine registry (counters, io_*, gauges, and
+  // the "phase_<name>_ns" phase timers) + the oracle's snapshot.
   // Valid any time; complete after Run().
   obs::MetricsSnapshot Metrics() const;
 
@@ -222,8 +223,9 @@ class GraphEngine : public EdgeSink {
   const Grammar* grammar_;
   ConstraintOracle* oracle_;
   EngineOptions options_;
-  PhaseProfiler profiler_;
   obs::MetricsRegistry metrics_;
+  obs::MetricId c_phase_join_ns_;
+  obs::MetricId c_phase_ckpt_ns_;
   obs::MetricId c_base_edges_;
   obs::MetricId c_final_edges_;
   obs::MetricId c_pair_loads_;

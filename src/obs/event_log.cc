@@ -7,9 +7,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <tuple>
 
 #include "src/obs/json.h"
 #include "src/support/byte_io.h"
@@ -24,7 +27,7 @@ namespace {
 constexpr char kMagic[4] = {'G', 'F', 'R', '1'};
 constexpr uint32_t kFormatVersion = 1;
 constexpr size_t kDefaultCapacity = 4096;
-constexpr size_t kMinCapacity = 64;
+constexpr size_t kMinCapacity = 8;
 constexpr size_t kMaxCapacity = 1u << 20;
 
 // One ring slot. The payload is four relaxed-atomic words bracketed by a
@@ -53,6 +56,11 @@ struct LogState {
   // Rings are never freed: a thread that exits mid-run leaves its tail
   // behind for the post-mortem, which is the point of a flight recorder.
   std::vector<Ring*> rings;
+  // Rings whose owner thread exited, oldest first. They stay in `rings`
+  // (their tail is still merged) until a new thread claims one, so a
+  // process that churns threads (a task runtime per session) holds as many
+  // rings as it ever ran threads at once, not one per thread it ever ran.
+  std::vector<Ring*> free_rings;
   size_t capacity = 0;  // 0 = not yet resolved from env/default
   std::vector<std::string> strings;
   std::map<std::string, uint32_t> string_ids;
@@ -66,6 +74,24 @@ LogState& State() {
 
 std::atomic<bool> g_enabled{true};
 thread_local Ring* t_ring = nullptr;
+// Set once the thread's ring went back to the free list at thread exit;
+// events emitted later (by other thread-local destructors) are dropped.
+thread_local bool t_ring_released = false;
+
+// Returns the thread's ring to the free list when the thread exits.
+struct RingRelease {
+  Ring* ring = nullptr;
+  ~RingRelease() {
+    if (ring != nullptr) {
+      LogState& state = State();
+      std::lock_guard<std::mutex> lock(state.mu);
+      state.free_rings.push_back(ring);
+      t_ring = nullptr;
+      t_ring_released = true;
+    }
+  }
+};
+thread_local RingRelease t_ring_release;
 
 uint64_t NowNs() {
   static const std::chrono::steady_clock::time_point start = std::chrono::steady_clock::now();
@@ -92,15 +118,27 @@ Ring* RegisterThreadRing() {
                           : std::min<size_t>(static_cast<size_t>(from_env), kMaxCapacity);
     state.capacity = RoundUpPow2(capacity);
   }
-  Ring* ring = new Ring(state.capacity, static_cast<uint16_t>(state.rings.size() & 0xffff));
-  state.rings.push_back(ring);
+  Ring* ring = nullptr;
+  auto reusable = std::find_if(state.free_rings.begin(), state.free_rings.end(),
+                               [&](Ring* r) { return r->slots.size() == state.capacity; });
+  if (reusable != state.free_rings.end()) {
+    ring = *reusable;
+    state.free_rings.erase(reusable);
+  } else {
+    ring = new Ring(state.capacity, static_cast<uint16_t>(state.rings.size() & 0xffff));
+    state.rings.push_back(ring);
+  }
   t_ring = ring;
+  t_ring_release.ring = ring;
   return ring;
 }
 
 void Record(uint16_t type, uint32_t a0, uint64_t a1, uint64_t a2) {
   Ring* ring = t_ring;
   if (ring == nullptr) {
+    if (t_ring_released) {
+      return;
+    }
     ring = RegisterThreadRing();
   }
   uint64_t n = ring->next.load(std::memory_order_relaxed);
@@ -134,6 +172,8 @@ StringArg StringArgOf(uint16_t type) {
     case evt::kCheckerStart:
     case evt::kCheckerDone:
     case evt::kCheckerDegraded:
+    case evt::kScopeBegin:
+    case evt::kScopeEnd:
       return StringArg::kArg1;
     default:
       return StringArg::kNone;
@@ -183,9 +223,13 @@ std::vector<FlightEvent> MergeTail(size_t max_events) {
     LogState& state = State();
     std::lock_guard<std::mutex> lock(state.mu);
     for (Ring* ring : state.rings) {
-      for (const Slot& slot : ring->slots) {
+      // Oldest slot first, so the stable sort below keeps a thread's
+      // same-timestamp events in emission order (B before its E).
+      size_t size = ring->slots.size();
+      uint64_t next = ring->next.load(std::memory_order_acquire);
+      for (size_t k = 0; k < size; ++k) {
         FlightEvent event;
-        if (ReadSlot(slot, &event)) {
+        if (ReadSlot(ring->slots[(next + k) & (size - 1)], &event)) {
           merged.push_back(event);
         }
       }
@@ -223,6 +267,24 @@ void RenderEvents(JsonWriter* w, const std::vector<FlightEvent>& events, Resolve
 }
 
 std::string ResolveLive(uint32_t id) { return EventLogStringOf(id); }
+
+// GRAPPLE_TRACE target, read once at install; null when unset.
+std::string* g_trace_path = nullptr;
+
+// The GRAPPLE_TRACE exit hook: the whole recorder as a Chrome trace.
+void WriteTraceAtExit() {
+  std::string json = EventLogTailChromeTrace(0);
+  std::FILE* file = std::fopen(g_trace_path->c_str(), "wb");
+  bool ok = file != nullptr;
+  if (ok) {
+    ok = std::fwrite(json.data(), 1, json.size(), file) == json.size();
+    ok = std::fclose(file) == 0 && ok;
+  }
+  if (!ok) {
+    // Plain stderr: logging statics may already be destroyed at exit.
+    std::fprintf(stderr, "grapple: failed to write trace to %s\n", g_trace_path->c_str());
+  }
+}
 
 // Guard against recursive crash flushes (an abort inside the flush itself
 // must not re-enter it).
@@ -339,6 +401,11 @@ void EventLogInstall() {
     InstallFatalHandler(SIGSEGV);
     InstallFatalHandler(SIGBUS);
     InstallFatalHandler(SIGABRT);
+    std::string trace_path = EnvString("GRAPPLE_TRACE");
+    if (!trace_path.empty()) {
+      g_trace_path = new std::string(std::move(trace_path));
+      std::atexit(&WriteTraceAtExit);
+    }
     return true;
   }();
   (void)installed;
@@ -412,15 +479,48 @@ std::string EventLogTailJson(size_t max_events) {
 
 std::string EventLogTailChromeTrace(size_t max_events) {
   std::vector<FlightEvent> events = MergeTail(max_events);
+  std::vector<std::string> strings;
+  EventLogStringsSnapshot(&strings);
+  // Per tid, the begin events still open, keyed by what their end carries:
+  // (is_scope, a1, a2). Rings overwrite oldest-first, so a surviving end
+  // whose begin was overwritten meets an empty stack (or a different key)
+  // and is dropped rather than closing an unrelated span.
+  using SpanKey = std::tuple<bool, uint64_t, uint64_t>;
+  std::map<uint16_t, std::vector<SpanKey>> open;
   JsonWriter w;
   w.BeginObject();
   w.Key("traceEvents").BeginArray();
   for (const FlightEvent& event : events) {
+    bool scope = event.type == evt::kScopeBegin || event.type == evt::kScopeEnd;
+    bool pair = event.type == evt::kPairStart || event.type == evt::kPairEnd;
+    bool begin = event.type == evt::kScopeBegin || event.type == evt::kPairStart;
+    if (scope || pair) {
+      SpanKey key{scope, event.arg1, scope ? 0 : event.arg2};
+      std::vector<SpanKey>& stack = open[event.tid];
+      if (begin) {
+        stack.push_back(key);
+      } else if (!stack.empty() && stack.back() == key) {
+        stack.pop_back();
+      } else {
+        continue;  // orphan end
+      }
+    }
     w.BeginObject();
-    w.Key("name").String(EventTypeName(event.type));
-    w.Key("cat").String("flightrec");
-    w.Key("ph").String("i");
-    w.Key("s").String("t");
+    if (scope) {
+      w.Key("name").String(event.arg1 < strings.size() ? strings[event.arg1] : std::string());
+      w.Key("cat").String("scope");
+      w.Key("ph").String(begin ? "B" : "E");
+    } else if (pair) {
+      w.Key("name").String("pair");
+      w.Key("cat").String("engine");
+      w.Key("ph").String(begin ? "B" : "E");
+      w.Key("args").BeginObject().Key("i").UInt(event.arg1).Key("j").UInt(event.arg2).EndObject();
+    } else {
+      w.Key("name").String(EventTypeName(event.type));
+      w.Key("cat").String("flightrec");
+      w.Key("ph").String("i");
+      w.Key("s").String("t");
+    }
     w.Key("pid").Int(1);
     w.Key("tid").Int(event.tid);
     w.Key("ts").Double(static_cast<double>(event.ts_ns) / 1000.0);
@@ -618,6 +718,10 @@ const char* EventTypeName(uint16_t type) {
       return "wait_begin";
     case evt::kWaitEnd:
       return "wait_end";
+    case evt::kScopeBegin:
+      return "scope_begin";
+    case evt::kScopeEnd:
+      return "scope_end";
     default:
       return "unknown";
   }

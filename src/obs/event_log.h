@@ -10,7 +10,9 @@
 // rather than reporting garbage. Rings overwrite oldest-first; the recorder
 // never blocks, never allocates after a thread's first event, and never
 // grows — bounded overhead is the contract that lets it stay on in
-// production runs.
+// production runs. A thread's ring is handed to the next new thread once
+// its owner exits, so memory follows the peak thread count, not the number
+// of threads a long-lived process ever started.
 //
 // The merger (EventLogTail*) snapshots every thread's ring, discards torn
 // or empty slots, sorts by timestamp, and keeps the newest `max_events`.
@@ -42,8 +44,8 @@ struct FlightEvent {
 };
 static_assert(sizeof(FlightEvent) == 32, "flightrec.bin record layout");
 
-// Installs the recorder behind evt::Emit and the crash-flush hook.
-// Idempotent; called by the Grapple facade and GraphEngine constructors so
+// Installs the recorder behind evt::Emit and the crash-flush hook, and
+// the GRAPPLE_TRACE exit export when that variable is set. Idempotent; called by the Grapple facade and GraphEngine constructors so
 // any entry point gets a live recorder.
 void EventLogInstall();
 
@@ -54,7 +56,8 @@ void EventLogSetEnabled(bool enabled);
 bool EventLogEnabled();
 
 // Per-thread ring capacity in events, rounded up to a power of two
-// (default 4096, env GRAPPLE_EVENTLOG_EVENTS). Applies to rings created
+// clamped to [8, 1M] (default 4096, env GRAPPLE_EVENTLOG_EVENTS). Applies
+// to rings created
 // after the call; existing rings keep their size.
 void EventLogSetCapacity(size_t events_per_thread);
 
@@ -74,7 +77,10 @@ bool EventLogStringsSnapshot(std::vector<std::string>* out, bool try_only = fals
 std::vector<FlightEvent> EventLogTail(size_t max_events);
 // {"events":[{"ts_ns":..,"type":"pair_start","tid":..,...},...]}
 std::string EventLogTailJson(size_t max_events);
-// Chrome trace-viewer JSON: each event rendered as an instant ('i').
+// Chrome trace-viewer JSON. Scope and pair begin/end events become 'B'/'E'
+// spans (an end whose begin the ring already overwrote is dropped); every
+// other event is an instant ('i'). GRAPPLE_TRACE=<path> writes this over
+// every live slot to <path> at process exit.
 std::string EventLogTailChromeTrace(size_t max_events);
 
 // Where crash paths spill the recorder. Empty disables the dump.

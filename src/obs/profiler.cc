@@ -430,21 +430,6 @@ uint64_t SwapPair(ThreadProf* tp, uint64_t value) {
 using profiler_internal::CurrentThreadProf;
 using profiler_internal::ThreadProf;
 
-ProfPhase::ProfPhase(const char* name) {
-  ThreadProf* tp = CurrentThreadProf();
-  if (tp == nullptr) {
-    return;
-  }
-  tp_ = tp;
-  prev_ = profiler_internal::SwapPhase(tp, EventLogInternString(name) + 1);
-}
-
-ProfPhase::~ProfPhase() {
-  if (tp_ != nullptr) {
-    profiler_internal::SwapPhase(tp_, prev_);
-  }
-}
-
 uint32_t ProfCurrentChecker() {
   ThreadProf* tp = CurrentThreadProf();
   if (tp == nullptr) {

@@ -3,8 +3,8 @@
 //
 // Each worker thread carries a small thread-local context — current phase
 // tag, checker id, partition pair, and off-CPU wait kind — maintained by
-// cheap RAII markers (ProfPhase/ProfChecker/ProfPair) threaded through the
-// engine, the partition store, the oracle, and the checker layer. A ticker
+// cheap RAII markers (obs::Scope for the phase, ProfChecker, ProfPair)
+// threaded through the engine, the partition store, and the checker layer. A ticker
 // thread delivers SIGPROF to every registered thread at a fixed rate; the
 // async-signal-safe handler snapshots the interrupted thread's context into
 // a 32-byte sample in a per-thread seqlock ring (the event_log ring
@@ -53,20 +53,6 @@ uint32_t SwapChecker(ThreadProf* tp, uint32_t value);
 uint32_t ReadChecker(ThreadProf* tp);
 uint64_t SwapPair(ThreadProf* tp, uint64_t value);
 }  // namespace profiler_internal
-
-// RAII phase marker; `name` is interned into the event-log string table.
-// Nests: the previous phase is restored on destruction.
-class ProfPhase {
- public:
-  explicit ProfPhase(const char* name);
-  ~ProfPhase();
-  ProfPhase(const ProfPhase&) = delete;
-  ProfPhase& operator=(const ProfPhase&) = delete;
-
- private:
-  profiler_internal::ThreadProf* tp_ = nullptr;
-  uint32_t prev_ = 0;
-};
 
 // Sentinel for "no checker context". Accepted by ProfChecker (installs the
 // empty context) and returned by ProfCurrentChecker when none is live.
@@ -172,7 +158,8 @@ std::string ProfileToJson(const ProfileData& data);
 std::string ProfileToCollapsed(const ProfileData& data);
 
 // Fraction of phase-tagged samples per phase name. The profiler-side
-// counterpart of PhaseProfiler::Fraction for fig9 cross-validation.
+// counterpart of the phase_<name>_ns counters obs::Scope books, for fig9
+// cross-validation.
 std::map<std::string, double> ProfilePhaseFractions(const ProfileData& data);
 
 // Live-snapshot summary stamped into BENCH_*.json:

@@ -203,7 +203,7 @@ ServiceOptions ServiceOptions::FromEnv() {
 GrappleService::GrappleService(ServiceOptions options)
     : options_(options),
       admission_(options.admission_capacity),
-      slots_(options.checker_slots),
+      slots_(std::max<size_t>(1, options.checker_slots)),
       cache_(options.max_resident_sessions) {
   c_requests_ = metrics_.Counter("service_requests_total");
   c_rejected_ = metrics_.Counter("service_rejected_total");
@@ -232,6 +232,12 @@ bool GrappleService::Start(std::string* error) {
   if (started_) {
     if (error != nullptr) {
       *error = "service already started";
+    }
+    return false;
+  }
+  if (options_.checker_slots == 0) {
+    if (error != nullptr) {
+      *error = "checker_slots must be positive";
     }
     return false;
   }
@@ -364,7 +370,7 @@ HttpResponse GrappleService::HandleCheck(const HttpRequest& request) {
     double queue_ms = MsSince(admitted_at);
     metrics_.Add(c_queue_wait_ns_, static_cast<uint64_t>(queue_ms * 1e6));
 
-    SlotLease lease = slots_.Acquire();
+    BudgetLease lease = slots_.Acquire(1);
     uint64_t fingerprint = SubjectFingerprint(tenant, *subject);
     std::string factory_error;
     auto factory = [&]() -> std::unique_ptr<Session> {
@@ -484,7 +490,7 @@ ServiceStats GrappleService::Stats() const {
   auto cache_stats = cache_.stats();
   stats.evictions = cache_stats.evictions;
   stats.resident_sessions = cache_stats.resident;
-  stats.slots_in_use = slots_.in_use();
+  stats.slots_in_use = slots_.used_bytes();
   std::vector<double> window;
   {
     std::lock_guard<std::mutex> lock(latency_mu_);
@@ -516,10 +522,10 @@ std::string GrappleService::StatusSourceJson() const {
   json.Key("evictions").UInt(stats.evictions);
   json.EndObject();
   json.Key("slots").BeginObject();
-  json.Key("total").UInt(slots_.slots());
+  json.Key("total").UInt(slots_.total_bytes());
   json.Key("in_use").UInt(stats.slots_in_use);
-  json.Key("peak_in_use").UInt(slots_.peak_in_use());
-  json.Key("waiters").UInt(slots_.waiters());
+  json.Key("peak_in_use").UInt(slots_.peak_used_bytes());
+  json.Key("waiters").UInt(slots_.waiter_count());
   json.EndObject();
   json.Key("tenants").BeginObject();
   for (const auto& [tenant, admitted] : stats.admission.per_tenant_admitted) {

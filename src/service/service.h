@@ -12,8 +12,9 @@
 //   * AdmissionQueue bounds queued work and keeps tenants fair (429 on
 //     overload, 503 while shutting down — clients see backpressure instead
 //     of unbounded latency).
-//   * SlotArbiter caps concurrent Check() runs so N resident sessions do
-//     not oversubscribe the machine N-fold.
+//   * A BudgetArbiter over checker_slots units caps concurrent Check()
+//     runs (one unit per request, FIFO ticket order) so N resident
+//     sessions do not oversubscribe the machine N-fold.
 //   * SessionCache keeps hot Grapple sessions resident keyed by a
 //     fingerprint of (tenant, subject): a warm hit reuses the cached
 //     phase-1 alias analysis and runs phases 2-3 only.
@@ -48,7 +49,7 @@
 #include "src/obs/statusz.h"
 #include "src/service/admission_queue.h"
 #include "src/service/session_cache.h"
-#include "src/service/slot_arbiter.h"
+#include "src/support/budget_arbiter.h"
 #include "src/support/socket_server.h"
 
 namespace grapple {
@@ -61,7 +62,8 @@ struct ServiceOptions {
   size_t max_resident_sessions = 8;
   // Bound on admitted-but-undispatched requests (beyond this: 429).
   size_t admission_capacity = 64;
-  // Concurrent Check() runs across all sessions.
+  // Concurrent Check() runs across all sessions; must be positive (Start
+  // fails otherwise).
   size_t checker_slots = 2;
   // Dispatch workers draining the admission queue.
   size_t worker_threads = 2;
@@ -100,7 +102,8 @@ class GrappleService {
   GrappleService& operator=(const GrappleService&) = delete;
 
   // Binds the listener and starts the worker pool. False (with *error set)
-  // when the port is taken or the work root cannot be created.
+  // when checker_slots is 0, the port is taken, or the work root cannot be
+  // created.
   bool Start(std::string* error);
 
   // Graceful stop: rejects new requests, fails queued ones with 503,
@@ -142,7 +145,9 @@ class GrappleService {
   std::mutex lifecycle_mu_;
 
   AdmissionQueue admission_;
-  SlotArbiter slots_;
+  // Checker slots: one unit per in-flight Check(). Sized max(1, slots) so
+  // a service built with 0 slots stays constructible; Start() refuses it.
+  BudgetArbiter slots_;
   SessionCache<Session> cache_;
   SocketServer server_;
   std::vector<std::thread> workers_;

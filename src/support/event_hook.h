@@ -50,6 +50,8 @@ enum Type : uint16_t {
   kCrashExit = 21,        // a2 = (const char*) crash-point name
   kWaitBegin = 22,        // a1 = wait kind (WaitKind below)
   kWaitEnd = 23,          // a1 = wait kind (WaitKind below)
+  kScopeBegin = 24,       // a1 = interned phase-name id (obs::Scope)
+  kScopeEnd = 25,         // a1 = interned phase-name id (obs::Scope)
 };
 
 // Wait kinds carried in kWaitBegin/kWaitEnd `a1`. Stable binary values:

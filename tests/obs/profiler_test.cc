@@ -1,9 +1,10 @@
 // Sampling-profiler acceptance (DESIGN.md §13): signal-storm concurrency,
 // attribution completeness, the GPRF envelope (round-trip plus truncation
 // and corruption decode errors), wait attribution through the evt observer
-// tap, fig9 cross-validation against a stopwatch, and the fatal-signal
-// crash spill. Own test binary: it installs SIGPROF/SIGSEGV handlers,
-// mutates the process-wide profiler singleton, and forks crashing children.
+// tap, fig9 cross-validation against the phase time obs::Scope books, and
+// the fatal-signal crash spill. Own test binary: it installs SIGPROF/SIGSEGV
+// handlers, mutates the process-wide profiler singleton, and forks crashing
+// children.
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -19,7 +20,9 @@
 
 #include "src/obs/event_log.h"
 #include "src/obs/json.h"
+#include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
+#include "src/obs/scope.h"
 #include "src/support/byte_io.h"
 #include "src/support/event_hook.h"
 #include "src/support/timer.h"
@@ -43,7 +46,7 @@ namespace {
 void SpinWithContext(uint32_t checker_id, const char* phase, uint32_t pair_i, uint32_t pair_j,
                      const std::atomic<bool>* stop) {
   ProfChecker checker(checker_id);
-  ProfPhase prof_phase(phase);
+  Scope scope{ScopeName(phase)};
   ProfPair pair(pair_i, pair_j);
   volatile uint64_t sink = 0;
   while (!stop->load(std::memory_order_relaxed)) {
@@ -125,6 +128,8 @@ TEST(ProfilerTest, SignalStormKeepsLedgerConsistent) {
   uint32_t checker_id = EventLogInternString("storm-checker");
   std::atomic<bool> stop{false};
   ProfileData data = ProfiledRun(1000, [&] {
+    const ScopeName even("storm-even");
+    const ScopeName odd("storm-odd");
     std::vector<std::thread> workers;
     for (uint32_t t = 0; t < 8; ++t) {
       workers.emplace_back([&, t] {
@@ -132,7 +137,7 @@ TEST(ProfilerTest, SignalStormKeepsLedgerConsistent) {
         volatile uint64_t sink = 0;
         while (!stop.load(std::memory_order_relaxed)) {
           // Churn nested phase/pair markers so signals land mid-swap.
-          ProfPhase phase(t % 2 == 0 ? "storm-even" : "storm-odd");
+          Scope phase(t % 2 == 0 ? even : odd);
           for (uint32_t p = 0; p < 64; ++p) {
             ProfPair pair(t, p);
             sink = sink * 2654435761u + p;
@@ -163,7 +168,7 @@ TEST(ProfilerTest, WaitBracketsAttributeOffCpuTime) {
   ProfileData data = ProfiledRun(500, [&] {
     std::thread worker([&] {
       ProfChecker checker(checker_id);
-      ProfPhase phase("wait-phase");
+      Scope phase{ScopeName("wait-phase")};
       evt::Emit(evt::kWaitBegin, evt::kWaitSolve);
       std::this_thread::sleep_for(std::chrono::milliseconds(300));
       evt::Emit(evt::kWaitEnd, evt::kWaitSolve);
@@ -183,11 +188,13 @@ TEST(ProfilerTest, WaitBracketsAttributeOffCpuTime) {
   EXPECT_NE(ProfileToCollapsed(data).find(";offcpu:solve"), std::string::npos);
 }
 
-// fig9 cross-validation: the profiler's phase fractions must agree with a
-// wall-clock stopwatch over the same run within 10 points (the acceptance
-// bound for agreeing with PhaseProfiler in the engine).
+// fig9 cross-validation: the profiler's phase fractions must agree with the
+// nanoseconds obs::Scope booked into the registry over the same run within
+// 10 points (the acceptance bound for the engine's phase_<name>_ns timers).
 TEST(ProfilerTest, PhaseFractionsMatchStopwatch) {
-  std::map<std::string, double> stopwatch;
+  MetricsRegistry registry;
+  MetricId join_ns = registry.Counter("phase_fig9-join_ns");
+  MetricId io_ns = registry.Counter("phase_fig9-io_ns");
   ProfileData data = ProfiledRun(500, [&] {
     std::thread worker([&] {
       auto burn = [](double seconds) {
@@ -197,33 +204,28 @@ TEST(ProfilerTest, PhaseFractionsMatchStopwatch) {
           sink = sink * 2654435761u + 1;
         }
       };
-      double total = 0;
       {
-        ProfPhase phase("fig9-join");
-        WallTimer timer;
+        Scope phase(ScopeName("fig9-join"), &registry, join_ns);
         burn(0.45);
-        stopwatch["fig9-join"] = timer.ElapsedSeconds();
       }
       {
-        ProfPhase phase("fig9-io");
-        WallTimer timer;
+        Scope phase(ScopeName("fig9-io"), &registry, io_ns);
         burn(0.15);
-        stopwatch["fig9-io"] = timer.ElapsedSeconds();
-      }
-      total = stopwatch["fig9-join"] + stopwatch["fig9-io"];
-      for (auto& kv : stopwatch) {
-        kv.second /= total;
       }
     });
     worker.join();
   });
 
+  MetricsSnapshot booked = registry.Snapshot();
+  double join_s = booked.SecondsOf("phase_fig9-join_ns");
+  double io_s = booked.SecondsOf("phase_fig9-io_ns");
+  ASSERT_GT(join_s + io_s, 0.0);
   std::map<std::string, double> fractions = ProfilePhaseFractions(data);
   // Only the two synthetic phases carry tags in this run.
   ASSERT_GT(fractions.count("fig9-join"), 0u);
   ASSERT_GT(fractions.count("fig9-io"), 0u);
-  EXPECT_NEAR(fractions["fig9-join"], stopwatch["fig9-join"], 0.10);
-  EXPECT_NEAR(fractions["fig9-io"], stopwatch["fig9-io"], 0.10);
+  EXPECT_NEAR(fractions["fig9-join"], join_s / (join_s + io_s), 0.10);
+  EXPECT_NEAR(fractions["fig9-io"], io_s / (join_s + io_s), 0.10);
 }
 
 // GPRF envelope: a written ledger round-trips bit-exact through the decoder
@@ -269,7 +271,7 @@ TEST(ProfilerTest, DecodeRejectsTruncationAndCorruption) {
   ProfilerResetForTest();
   ASSERT_TRUE(ProfilerStart(500));
   {
-    ProfPhase phase("corrupt-phase");
+    Scope phase{ScopeName("corrupt-phase")};
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
   }
   ASSERT_TRUE(ProfilerWriteFile(path));
@@ -344,7 +346,7 @@ TEST(ProfilerTest, FatalSignalSpillsProfileAndFlightrec) {
     }
     evt::Emit(evt::kRunStart, 1);
     {
-      ProfPhase phase("fatal-phase");
+      Scope phase{ScopeName("fatal-phase")};
       // Spin until at least one sample exists so the spill has content.
       WallTimer timer;
       while (ProfilerSnapshot().total_samples == 0 && timer.ElapsedSeconds() < 5.0) {

@@ -110,6 +110,18 @@ class ServiceTest : public ::testing::Test {
   int port_ = 0;
 };
 
+// Zero checker slots would leave every request waiting forever; Start must
+// refuse with a named error (and must not abort on the arbiter's check).
+TEST(ServiceStartTest, ZeroCheckerSlotsIsANamedStartError) {
+  ServiceOptions options;
+  options.checker_slots = 0;
+  GrappleService service(options);
+  std::string error;
+  EXPECT_FALSE(service.Start(&error));
+  EXPECT_NE(error.find("checker_slots"), std::string::npos) << error;
+  EXPECT_EQ(service.Stats().slots_in_use, 0u);
+}
+
 TEST_F(ServiceTest, RejectsMalformedCheckRequests) {
   StartService(ServiceOptions{});
   std::string response;

@@ -16,7 +16,9 @@
 // SIGTERM/SIGINT trigger a graceful shutdown: new requests get 503, queued
 // requests are failed, in-flight checks finish, session work dirs and the
 // daemon's work root are removed, and the process exits 0. Exit codes:
-// 0 clean shutdown, 1 startup failure, 2 usage error.
+// 0 clean shutdown, 1 startup failure, 2 usage error (including a count
+// flag — --max-sessions, --admission, --slots, --workers — that is not a
+// positive integer).
 #include <signal.h>
 #include <unistd.h>
 
@@ -49,6 +51,21 @@ int Usage(const char* argv0) {
   return 2;
 }
 
+// Strict positive count: digits only, no sign, no trailing junk, > 0.
+bool ParseCount(const char* text, size_t* out) {
+  if (*text < '0' || *text > '9') {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  unsigned long long value = std::strtoull(text, &end, 10);
+  if (errno != 0 || *end != '\0' || value == 0) {
+    return false;
+  }
+  *out = static_cast<size_t>(value);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -67,6 +84,7 @@ int main(int argc, char** argv) {
       return true;
     };
     const char* value = nullptr;
+    size_t* count = nullptr;
     if (flag_value("--port", &value)) {
       if (value == nullptr) return Usage(argv[0]);
       options.port = std::atoi(value);
@@ -77,19 +95,23 @@ int main(int argc, char** argv) {
       if (value == nullptr) return Usage(argv[0]);
       options.work_root = value;
     } else if (flag_value("--max-sessions", &value)) {
-      if (value == nullptr) return Usage(argv[0]);
-      options.max_resident_sessions = static_cast<size_t>(std::atoll(value));
+      count = &options.max_resident_sessions;
     } else if (flag_value("--admission", &value)) {
-      if (value == nullptr) return Usage(argv[0]);
-      options.admission_capacity = static_cast<size_t>(std::atoll(value));
+      count = &options.admission_capacity;
     } else if (flag_value("--slots", &value)) {
-      if (value == nullptr) return Usage(argv[0]);
-      options.checker_slots = static_cast<size_t>(std::atoll(value));
+      count = &options.checker_slots;
     } else if (flag_value("--workers", &value)) {
-      if (value == nullptr) return Usage(argv[0]);
-      options.worker_threads = static_cast<size_t>(std::atoll(value));
+      count = &options.worker_threads;
     } else {
       return Usage(argv[0]);
+    }
+    if (count != nullptr) {
+      if (value == nullptr) return Usage(argv[0]);
+      if (!ParseCount(value, count)) {
+        std::fprintf(stderr, "grappled: %s must be a positive integer, got '%s'\n",
+                     argv[i - 1], value);
+        return 2;
+      }
     }
   }
 
