@@ -65,7 +65,7 @@ inline void AddSubject(obs::BenchReport* bench, const std::string& subject,
 
 // Unsets the named environment variables for its lifetime and restores the
 // caller's values afterwards. Env overrides (GRAPPLE_THREADS,
-// GRAPPLE_IO_PIPELINE, ...) replace options outright at construction, so a
+// GRAPPLE_PROFILE, ...) replace options outright at construction, so a
 // section that pins or A/Bs an option holds one of these around its runs.
 class ScopedEnvUnset {
  public:

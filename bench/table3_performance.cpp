@@ -155,124 +155,100 @@ void RunSchedulerSpeedup(obs::BenchReport* bench, const WorkloadConfig& preset) 
   bench->Add(std::move(sched));
 }
 
-// A/B of the pipelined partition I/O (write-behind + prefetch + compact
-// block format) against the synchronous raw-format path on one subject. The
-// engine memory budget is capped well below the subject's edge data so the
-// run genuinely spills: partitions split, deltas append, and the fixpoint
-// sweep re-loads partitions pair after pair — exactly the access pattern
-// the pipeline targets. Reports must be byte-identical across modes.
-// io_cache_served_frac (loads served by the write-back or prefetch cache
-// over all partition loads, pipelined run) is the gated gauge: a work count
-// that is 0 when the pipeline is off. io_speedup, a ratio of milliseconds of
-// I/O time, is reported but not gated.
-// GRAPPLE_IO_PIPELINE overrides the option outright at engine construction,
-// so it is unset around both runs and restored afterwards.
-void RunIoPipelineComparison(obs::BenchReport* bench, const WorkloadConfig& preset) {
-  ScopedEnvUnset env({"GRAPPLE_IO_PIPELINE"});
-
-  GrappleOptions options;
-  options.engine.memory_budget_bytes = EnvSize("GRAPPLE_IO_BUDGET_BYTES", size_t{1} << 14);
+// Pipelined partition I/O (write-behind + prefetch + compact block format)
+// on one subject. The engine memory budget is capped well below the
+// subject's edge data so the run genuinely spills: partitions split, deltas
+// append, and the fixpoint sweep re-loads partitions pair after pair —
+// exactly the access pattern the write-back/prefetch cache targets. Gated
+// gauges, all work counts:
+//   io_cache_served_frac — loads served by the write-back or prefetch
+//     cache over all partition loads;
+//   io_bytes_written_reduction — 1 - io_bytes_written / io_raw_bytes, the
+//     block format's on-disk saving against the RawFormatBytes size model
+//     of the same writes;
+//   io_reports_identical — the spilling run's reports are byte-identical
+//     to an in-memory (64 MB) run of the same subject.
+void RunIoPipeline(obs::BenchReport* bench, const WorkloadConfig& preset) {
   Workload workload = GenerateWorkload(preset);
-
-  struct ModeRun {
-    GrappleResult result;
-    double total_seconds = 0;
-    double io_seconds = 0;
-    double bytes_written = 0;
-    double bytes_read = 0;
-  };
-  auto run_mode = [&](bool pipelined) {
-    GrappleOptions mode_options = options;
-    mode_options.engine.io_pipeline = pipelined;
+  auto run = [&](uint64_t budget_bytes, double* seconds) {
+    GrappleOptions options;
+    options.engine.memory_budget_bytes = budget_bytes;
     Program program = workload.program;
-    ModeRun run;
     WallTimer timer;
-    Grapple grapple(std::move(program), mode_options);
-    run.result = grapple.Check(AllBuiltinCheckers());
-    run.total_seconds = timer.ElapsedSeconds();
-    run.io_seconds = SumCounter(run.result, "phase_io_ns") / 1e9;
-    run.bytes_written = static_cast<double>(SumCounter(run.result, "io_bytes_written"));
-    run.bytes_read = static_cast<double>(SumCounter(run.result, "io_bytes_read"));
-    return run;
+    Grapple grapple(std::move(program), options);
+    GrappleResult result = grapple.Check(AllBuiltinCheckers());
+    *seconds = timer.ElapsedSeconds();
+    return result;
   };
+  const uint64_t budget = EnvSize("GRAPPLE_IO_BUDGET_BYTES", size_t{1} << 14);
+  double total_seconds = 0;
+  double in_memory_seconds = 0;
+  GrappleResult spill = run(budget, &total_seconds);
+  GrappleResult in_memory = run(uint64_t{64} << 20, &in_memory_seconds);
 
-  ModeRun off = run_mode(false);
-  ModeRun on = run_mode(true);
+  bool identical = ReportFingerprint(spill) == ReportFingerprint(in_memory);
+  double io_seconds = SumCounter(spill, "phase_io_ns") / 1e9;
+  double bytes_written = static_cast<double>(SumCounter(spill, "io_bytes_written"));
+  double raw_bytes = static_cast<double>(SumCounter(spill, "io_raw_bytes"));
+  double bytes_read = static_cast<double>(SumCounter(spill, "io_bytes_read"));
+  double write_reduction = raw_bytes > 0 ? 1.0 - bytes_written / raw_bytes : 0;
+  double prefetch_hits = static_cast<double>(SumCounter(spill, "io_prefetch_hits_total"));
+  double prefetch_issued = static_cast<double>(SumCounter(spill, "io_prefetch_issued_total"));
+  double prefetch_wasted = static_cast<double>(SumCounter(spill, "io_prefetch_wasted_total"));
+  double write_cache_hits = static_cast<double>(SumCounter(spill, "io_write_cache_hits_total"));
+  double loads = static_cast<double>(SumCounter(spill, "io_partition_loads_total"));
+  double cache_served = loads > 0 ? (prefetch_hits + write_cache_hits) / loads : 0;
 
-  bool identical = ReportFingerprint(off.result) == ReportFingerprint(on.result);
-  double io_speedup = on.io_seconds > 0 ? off.io_seconds / on.io_seconds : 0;
-  double write_reduction =
-      off.bytes_written > 0 ? 1.0 - on.bytes_written / off.bytes_written : 0;
-  double prefetch_hits = static_cast<double>(SumCounter(on.result, "io_prefetch_hits_total"));
-  double prefetch_issued = static_cast<double>(SumCounter(on.result, "io_prefetch_issued_total"));
-  double prefetch_wasted = static_cast<double>(SumCounter(on.result, "io_prefetch_wasted_total"));
-  double write_cache_hits = static_cast<double>(SumCounter(on.result, "io_write_cache_hits_total"));
-  double loads_on = static_cast<double>(SumCounter(on.result, "io_partition_loads_total"));
-  double cache_served = loads_on > 0 ? (prefetch_hits + write_cache_hits) / loads_on : 0;
-
-  PrintHeaderLine("Partition I/O: synchronous vs pipelined");
-  std::printf("%-11s %9s %9s %8s %11s %11s %9s %10s\n", "Subject", "io(off)", "io(on)",
-              "speedup", "wrMB(off)", "wrMB(on)", "wr-red", "identical");
-  std::printf("%-11s %9s %9s %7.2fx %11.2f %11.2f %8.1f%% %10s\n", preset.name.c_str(),
-              FormatDuration(off.io_seconds).c_str(), FormatDuration(on.io_seconds).c_str(),
-              io_speedup, off.bytes_written / (1024.0 * 1024.0),
-              on.bytes_written / (1024.0 * 1024.0), 100.0 * write_reduction,
+  PrintHeaderLine("Partition I/O: pipelined store on a spilling budget");
+  std::printf("%-11s %9s %10s %10s %9s %9s %10s\n", "Subject", "io", "wrMB", "rawMB", "wr-red",
+              "cached", "identical");
+  std::printf("%-11s %9s %10.2f %10.2f %8.1f%% %8.1f%% %10s\n", preset.name.c_str(),
+              FormatDuration(io_seconds).c_str(), bytes_written / (1024.0 * 1024.0),
+              raw_bytes / (1024.0 * 1024.0), 100.0 * write_reduction, 100.0 * cache_served,
               identical ? "yes" : "NO");
-  std::printf("io(off/on) is foreground blocking time in the \"io\" phase bucket; the\n");
-  std::printf("pipeline hides write+encode latency behind compute and serves Loads from\n");
-  std::printf("the write-back/prefetch cache (%.0f write-cache hits; %.0f prefetch hits /\n",
-              write_cache_hits, prefetch_hits);
-  std::printf("%.0f issued / %.0f wasted). wr-red is the on-disk byte saving of the\n",
-              prefetch_issued, prefetch_wasted);
-  std::printf("compact block format (budget %zu KB). %.1f%% of the %.0f pipelined loads were\n",
-              static_cast<size_t>(options.engine.memory_budget_bytes >> 10),
-              100.0 * cache_served, loads_on);
-  std::printf("served from cache instead of a foreground read.\n");
+  std::printf("io is foreground blocking time in the \"io\" phase bucket at a %zu KB budget;\n",
+              static_cast<size_t>(budget >> 10));
+  std::printf("wr-red is the block format's on-disk saving against the raw size model\n");
+  std::printf("(rawMB); cached is the share of the %.0f loads served by the write-back\n",
+              loads);
+  std::printf("cache (%.0f hits) or the prefetch cache (%.0f hits / %.0f issued / %.0f\n",
+              write_cache_hits, prefetch_hits, prefetch_issued, prefetch_wasted);
+  std::printf("wasted); identical compares the reports with an in-memory 64 MB run.\n");
 
   obs::RunReport pipeline;
   pipeline.subject = "io_pipeline";
-  pipeline.total_seconds = off.total_seconds + on.total_seconds;
+  pipeline.total_seconds = total_seconds + in_memory_seconds;
   obs::PhaseReport phase;
   phase.name = "io_pipeline";
-  phase.seconds = on.io_seconds;
-  phase.metrics.gauges["io_seconds_off"] = off.io_seconds;
-  phase.metrics.gauges["io_seconds_on"] = on.io_seconds;
-  phase.metrics.gauges["io_speedup"] = io_speedup;
-  phase.metrics.gauges["io_bytes_written_off"] = off.bytes_written;
-  phase.metrics.gauges["io_bytes_written_on"] = on.bytes_written;
+  phase.seconds = io_seconds;
+  phase.metrics.gauges["io_seconds"] = io_seconds;
+  phase.metrics.gauges["io_bytes_written"] = bytes_written;
+  phase.metrics.gauges["io_raw_bytes"] = raw_bytes;
   phase.metrics.gauges["io_bytes_written_reduction"] = write_reduction;
-  phase.metrics.gauges["io_bytes_read_off"] = off.bytes_read;
-  phase.metrics.gauges["io_bytes_read_on"] = on.bytes_read;
+  phase.metrics.gauges["io_bytes_read"] = bytes_read;
   phase.metrics.gauges["io_prefetch_hits"] = prefetch_hits;
   phase.metrics.gauges["io_prefetch_issued"] = prefetch_issued;
   phase.metrics.gauges["io_prefetch_wasted"] = prefetch_wasted;
   phase.metrics.gauges["io_write_cache_hits"] = write_cache_hits;
-  phase.metrics.gauges["io_loads_on"] = loads_on;
+  phase.metrics.gauges["io_loads"] = loads;
   phase.metrics.gauges["io_cache_served_frac"] = cache_served;
   phase.metrics.gauges["io_reports_identical"] = identical ? 1 : 0;
-  phase.metrics.gauges["io_budget_bytes"] =
-      static_cast<double>(options.engine.memory_budget_bytes);
-  phase.metrics.gauges["io_total_seconds_off"] = off.total_seconds;
-  phase.metrics.gauges["io_total_seconds_on"] = on.total_seconds;
+  phase.metrics.gauges["io_budget_bytes"] = static_cast<double>(budget);
+  phase.metrics.gauges["io_total_seconds"] = total_seconds;
+  phase.metrics.gauges["io_total_seconds_in_memory"] = in_memory_seconds;
   pipeline.phases.push_back(std::move(phase));
   bench->Add(std::move(pipeline));
 }
 
-// A/B of the unified work-stealing task runtime (DESIGN.md §14) against its
-// pinned mode, which reproduces the legacy twin-pool execution: every task
-// runs on its home worker only — join shards on the engine's homes, I/O
-// strands on each file's hashed home — so backlogs never overlap across
-// workers. Same spilling subject and budget as the I/O comparison so the
-// store's strands carry real traffic, with num_threads=2 so join-shard
-// tasks exist. Reports must be byte-identical across policies; the gated
-// gauges are the overlap ratio (store I/O executed on background lanes
+// The unified work-stealing task runtime (DESIGN.md §14) under its two
+// steal policies: locality-aware (the default) and always. Same spilling
+// subject and budget as the I/O section so the store's strands carry real
+// traffic, with num_threads=2 so join-shard tasks exist. Reports must be
+// byte-identical across policies; the gated gauges, from the locality-aware
+// run, are the overlap ratio (store I/O executed on background lanes
 // rather than blocking the foreground) and the steal efficiency (affine
-// tasks that ran on their home worker despite stealing being enabled).
-// GRAPPLE_STEAL overrides the policy outright, so it is unset around both
-// runs and restored afterwards.
-void RunTaskRuntimeAb(obs::BenchReport* bench, const WorkloadConfig& preset) {
-  ScopedEnvUnset env({"GRAPPLE_STEAL"});
-
+// tasks that ran on their home worker although idle workers steal).
+void RunTaskRuntime(obs::BenchReport* bench, const WorkloadConfig& preset) {
   GrappleOptions options;
   options.engine.memory_budget_bytes = EnvSize("GRAPPLE_IO_BUDGET_BYTES", size_t{1} << 14);
   options.scheduling.num_threads = 2;
@@ -298,46 +274,43 @@ void RunTaskRuntimeAb(obs::BenchReport* bench, const WorkloadConfig& preset) {
     return run;
   };
 
-  ModeRun pinned = run_mode(StealPolicy::kPinned);
-  ModeRun unified = run_mode(StealPolicy::kLocalityAware);
+  ModeRun always = run_mode(StealPolicy::kAlways);
+  ModeRun locality = run_mode(StealPolicy::kLocalityAware);
 
-  bool identical = ReportFingerprint(pinned.result) == ReportFingerprint(unified.result);
-  double speedup =
-      unified.total_seconds > 0 ? pinned.total_seconds / unified.total_seconds : 0;
-  const TaskRuntimeStats& s = unified.stats;
+  bool identical = ReportFingerprint(always.result) == ReportFingerprint(locality.result);
+  const TaskRuntimeStats& s = locality.stats;
   double background_io_seconds =
       (s.busy_ns[static_cast<size_t>(TaskLane::kPrefetch)] +
        s.busy_ns[static_cast<size_t>(TaskLane::kWriteBehind)]) /
       1e9;
-  double io_overlap = background_io_seconds + unified.fg_io_seconds > 0
+  double io_overlap = background_io_seconds + locality.fg_io_seconds > 0
                           ? background_io_seconds /
-                                (background_io_seconds + unified.fg_io_seconds)
+                                (background_io_seconds + locality.fg_io_seconds)
                           : 0;
   double steal_efficiency =
       s.affine_tasks > 0 ? static_cast<double>(s.affine_hits) / s.affine_tasks : 1.0;
 
-  PrintHeaderLine("Task runtime: unified work-stealing vs pinned (legacy two-pool)");
-  std::printf("%-11s %9s %9s %8s %9s %8s %8s %10s\n", "Subject", "tt(pin)", "tt(uni)",
-              "speedup", "overlap", "steal-ef", "steals", "identical");
-  std::printf("%-11s %9s %9s %7.2fx %8.1f%% %7.1f%% %8" PRIu64 " %10s\n",
-              preset.name.c_str(), FormatDuration(pinned.total_seconds).c_str(),
-              FormatDuration(unified.total_seconds).c_str(), speedup, 100.0 * io_overlap,
+  PrintHeaderLine("Task runtime: locality-aware vs always stealing");
+  std::printf("%-11s %9s %9s %9s %8s %8s %10s\n", "Subject", "tt(alw)", "tt(loc)", "overlap",
+              "steal-ef", "steals", "identical");
+  std::printf("%-11s %9s %9s %8.1f%% %7.1f%% %8" PRIu64 " %10s\n", preset.name.c_str(),
+              FormatDuration(always.total_seconds).c_str(),
+              FormatDuration(locality.total_seconds).c_str(), 100.0 * io_overlap,
               100.0 * steal_efficiency, s.steals, identical ? "yes" : "NO");
   std::printf("overlap is store I/O run on the prefetch/write-behind lanes as a share of\n");
   std::printf("all I/O time (background lanes + foreground blocking); steal-ef is the\n");
-  std::printf("share of pair-affine tasks that still ran on their home worker with\n");
-  std::printf("stealing enabled (%" PRIu64 " strand tasks, queue peak %" PRIu64 ").\n",
+  std::printf("share of pair-affine tasks that still ran on their home worker under the\n");
+  std::printf("locality-aware policy (%" PRIu64 " strand tasks, queue peak %" PRIu64 ").\n",
               s.strand_tasks, s.queue_peak);
 
   obs::RunReport report;
   report.subject = "task_runtime";
-  report.total_seconds = pinned.total_seconds + unified.total_seconds;
+  report.total_seconds = always.total_seconds + locality.total_seconds;
   obs::PhaseReport phase;
   phase.name = "task_runtime";
-  phase.seconds = unified.total_seconds;
-  phase.metrics.gauges["tr_total_seconds_pinned"] = pinned.total_seconds;
-  phase.metrics.gauges["tr_total_seconds_unified"] = unified.total_seconds;
-  phase.metrics.gauges["tr_speedup"] = speedup;
+  phase.seconds = locality.total_seconds;
+  phase.metrics.gauges["tr_total_seconds_always"] = always.total_seconds;
+  phase.metrics.gauges["tr_total_seconds_locality"] = locality.total_seconds;
   phase.metrics.gauges["tr_io_overlap"] = io_overlap;
   phase.metrics.gauges["tr_steal_efficiency"] = steal_efficiency;
   phase.metrics.gauges["tr_steals"] = static_cast<double>(s.steals);
@@ -345,7 +318,7 @@ void RunTaskRuntimeAb(obs::BenchReport* bench, const WorkloadConfig& preset) {
   phase.metrics.gauges["tr_strand_tasks"] = static_cast<double>(s.strand_tasks);
   phase.metrics.gauges["tr_inline_tasks"] = static_cast<double>(s.inline_tasks);
   phase.metrics.gauges["tr_queue_peak"] = static_cast<double>(s.queue_peak);
-  phase.metrics.gauges["tr_foreground_io_seconds"] = unified.fg_io_seconds;
+  phase.metrics.gauges["tr_foreground_io_seconds"] = locality.fg_io_seconds;
   phase.metrics.gauges["tr_background_io_seconds"] = background_io_seconds;
   phase.metrics.gauges["tr_reports_identical"] = identical ? 1 : 0;
   phase.metrics.gauges["tr_budget_bytes"] =
@@ -761,8 +734,8 @@ int Main() {
   std::printf("(GRAPPLE_WITNESS=%s; set GRAPPLE_WITNESS=off to measure without it).\n",
               obs::WitnessModeName(obs::WitnessModeFromEnv()));
   RunSchedulerSpeedup(&bench, SchedulerSubject(scale));
-  RunIoPipelineComparison(&bench, ZooKeeperPreset(scale));
-  RunTaskRuntimeAb(&bench, ZooKeeperPreset(scale));
+  RunIoPipeline(&bench, ZooKeeperPreset(scale));
+  RunTaskRuntime(&bench, ZooKeeperPreset(scale));
   RunCheckpointOverhead(&bench, ZooKeeperPreset(scale));
   RunObsOverhead(&bench, ZooKeeperPreset(scale));
   RunProfOverhead(&bench, ZooKeeperPreset(scale));

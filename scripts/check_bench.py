@@ -72,21 +72,25 @@ DEFAULT_WATCH = [
         "min": 1.0,
     },
     {
-        # Share of the pipelined run's partition loads served by the
-        # write-back or prefetch cache instead of a foreground read. A work
-        # count, 0 with the pipeline off. It replaces the io_speedup floor
-        # and io_seconds_on ceiling, which timed 1-4 ms of I/O and tripped
-        # on loaded machines; io_speedup is still reported, ungated.
+        # Share of the spilling (16KB-budget) run's partition loads served
+        # by the write-back or prefetch cache instead of a foreground read.
+        # A work count; it replaced an io_speedup floor and an io_seconds
+        # ceiling, which timed 1-4 ms of I/O and tripped on loaded machines.
         "key": "table3_performance/io_pipeline/io_pipeline/gauge:io_cache_served_frac",
         "direction": "higher_is_better",
         "min": 0.75,
     },
     {
+        # 1 - io_bytes_written / io_raw_bytes: the block format's on-disk
+        # saving against the RawFormatBytes size model of the same writes
+        # (the number the retired raw-format A/B arm used to measure).
         "key": "table3_performance/io_pipeline/io_pipeline/gauge:io_bytes_written_reduction",
         "direction": "higher_is_better",
         "min": 0.30,
     },
     {
+        # The spilling run's reports are byte-identical to an in-memory
+        # (64 MB) run of the same subject.
         "key": "table3_performance/io_pipeline/io_pipeline/gauge:io_reports_identical",
         "direction": "higher_is_better",
         "min": 1.0,
@@ -94,9 +98,9 @@ DEFAULT_WATCH = [
     {
         # Share of store I/O executed on the task runtime's background
         # lanes instead of blocking the foreground path, measured on the
-        # spilling 16KB-budget subject. The floor guards against the store
-        # quietly falling back to synchronous I/O; the baseline-relative
-        # check guards gradual erosion.
+        # spilling 16KB-budget subject. The floor guards against store I/O
+        # moving back onto the foreground path; the baseline-relative check
+        # guards gradual erosion.
         "key": "table3_performance/task_runtime/task_runtime/gauge:tr_io_overlap",
         "direction": "higher_is_better",
         "min": 0.05,
@@ -112,8 +116,8 @@ DEFAULT_WATCH = [
         "tolerance": 0.75,
     },
     {
-        # Unified scheduling may not change a single report byte vs the
-        # pinned (legacy two-pool-equivalent) execution, at any scale.
+        # The steal policy may not change a single report byte: the
+        # locality-aware run against the always-steal run, at any scale.
         "key": "table3_performance/task_runtime/task_runtime/gauge:tr_reports_identical",
         "direction": "higher_is_better",
         "min": 1.0,

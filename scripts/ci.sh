@@ -31,9 +31,10 @@
 #                            # + --json round-trip) and analyze_file
 #                            # --profile (collapsed stacks), and the report
 #                            # byte-compared against an unprofiled run
-#   scripts/ci.sh service    # grappled daemon smoke: --slots 0 must exit 2
-#                            # with a named error; then ephemeral port, a
-#                            # two-tenant burst through grapple-client with
+#   scripts/ci.sh service    # grappled daemon smoke: --slots 0 and --port
+#                            # abc must exit 2 with a named error; then
+#                            # ephemeral port, a two-tenant burst through
+#                            # grapple-client with
 #                            # /statusz + /metricsz scraped mid-run, every
 #                            # response byte-compared against a cold
 #                            # one-shot analyze_file --json run, then a
@@ -377,6 +378,18 @@ run_service_smoke() {
       || ! grep -q -- '--slots must be a positive integer' "${out_dir}/slots0.log"; then
     echo "service: grappled --slots 0 exited ${slots_rc}, want 2 with a named error" >&2
     cat "${out_dir}/slots0.log" >&2
+    return 1
+  fi
+
+  echo "==> [service] --port abc is a named usage error, not an ephemeral port"
+  local port_rc=0
+  # timeout: a lax parser would start listening instead of exiting.
+  timeout 10 "${build_dir}/tools/grappled" --port abc 2> "${out_dir}/port-abc.log" \
+    || port_rc=$?
+  if [[ "${port_rc}" -ne 2 ]] \
+      || ! grep -q -- '--port must be an integer in \[0, 65535\]' "${out_dir}/port-abc.log"; then
+    echo "service: grappled --port abc exited ${port_rc}, want 2 with a named error" >&2
+    cat "${out_dir}/port-abc.log" >&2
     return 1
   fi
 

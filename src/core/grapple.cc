@@ -63,7 +63,6 @@ EngineOptions EngineOptionsFrom(const GrappleOptions& options, TaskRuntime* runt
   engine_options.memory_budget_bytes = options.engine.memory_budget_bytes;
   engine_options.num_threads = options.scheduling.num_threads;
   engine_options.max_variants_per_triple = options.engine.max_variants_per_triple;
-  engine_options.io_pipeline = options.engine.io_pipeline;
   engine_options.checkpoint_interval = options.robustness.checkpoint_interval;
   engine_options.checkpoint_min_spacing_seconds = options.robustness.checkpoint_min_spacing_s;
   engine_options.runtime = runtime;
@@ -89,6 +88,9 @@ std::vector<std::string> GrappleOptions::Validate() const {
   if (engine.enable_cache && engine.cache_capacity == 0) {
     errors.push_back("engine.cache_capacity must be >= 1 when enable_cache is set; disable the "
                      "cache instead of sizing it to zero");
+  }
+  if (!engine.io_pipeline) {
+    errors.push_back("engine.io_pipeline = false is retired: partition I/O is always pipelined");
   }
   if (precision.loop_unroll == 0) {
     errors.push_back("precision.loop_unroll must be >= 1 (§3.1: loops are unrolled a bounded "
@@ -242,7 +244,7 @@ Grapple::Grapple(Program program, GrappleOptions options)
                        ? HardwareThreads()
                        : options_.scheduling.checker_parallelism;
     rt_options.workers = outer * ResolveThreadCount(options_.scheduling.num_threads) + 1;
-    rt_options.steal_policy = ResolveStealPolicy(options_.scheduling.steal_policy);
+    rt_options.steal_policy = options_.scheduling.steal_policy;
     rt_options.lane_weights = options_.scheduling.lane_weights;
     runtime_ = std::make_unique<TaskRuntime>(rt_options);
   }

@@ -74,10 +74,9 @@ struct GrappleOptions {
     // Simulated latency sleeps (out-of-process solver endpoint) instead of
     // busy-waiting (in-process solver). See IntervalOracle::Options.
     bool simulated_solve_blocks = false;
-    // Pipelined partition I/O: write-behind, schedule-driven prefetch, and
-    // the compact block file format (see EngineOptions.io_pipeline and
-    // DESIGN.md). Results are byte-identical either way; GRAPPLE_IO_PIPELINE
-    // overrides at engine construction.
+    // Retired: partition I/O is always pipelined (write-behind,
+    // schedule-driven prefetch, compact block files; DESIGN.md §10).
+    // Validate() rejects false. Kept so existing callers still compile.
     bool io_pipeline = true;
   };
 
@@ -150,9 +149,9 @@ struct GrappleOptions {
     // deterministic integration order is keyed on, so changing worker
     // counts or steal policy never changes results.
     size_t num_threads = 1;
-    // How idle workers take queued work from busy ones. GRAPPLE_STEAL
-    // overrides. kPinned disables stealing entirely, reproducing the
-    // legacy two-pool execution for A/B comparison.
+    // What idle workers take from busy ones: locality-aware (default)
+    // leaves pair-affine tasks to their home worker when it can, always
+    // takes the first runnable task. Workers always steal.
     StealPolicy steal_policy = StealPolicy::kLocalityAware;
     // Weighted round-robin service credits per lane {foreground, prefetch,
     // write_behind}: a worker serves up to weight[l] lane-l tasks before

@@ -15,15 +15,6 @@ namespace {
 // only; magic/version corruption is caught by their own strict checks.
 constexpr char kMagic[8] = {'G', 'R', 'P', 'L', 'C', 'K', 'P', 'T'};
 
-uint64_t Fnv1a(const uint8_t* data, size_t size) {
-  uint64_t hash = 1469598103934665603ULL;
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
 void PutString(std::vector<uint8_t>* out, const std::string& s) {
   PutVarint64(out, s.size());
   out->insert(out->end(), s.begin(), s.end());
@@ -110,7 +101,7 @@ void EncodeCheckpointManifest(const CheckpointManifest& manifest, std::vector<ui
   PutFixed32(out, kCheckpointFormatVersion);
   PutFixed64(out, payload.size());
   out->insert(out->end(), payload.begin(), payload.end());
-  PutFixed64(out, Fnv1a(payload.data(), payload.size()));
+  PutFixed64(out, Fnv1a64(payload.data(), payload.size(), kFnv1a64ShortBasis));
 }
 
 bool DecodeCheckpointManifest(const std::vector<uint8_t>& bytes, CheckpointManifest* manifest,
@@ -138,7 +129,7 @@ bool DecodeCheckpointManifest(const std::vector<uint8_t>& bytes, CheckpointManif
         ByteReader tail(payload + payload_len, 8);
         return tail.GetFixed64();
       }();
-  uint64_t computed = Fnv1a(payload, static_cast<size_t>(payload_len));
+  uint64_t computed = Fnv1a64(payload, static_cast<size_t>(payload_len), kFnv1a64ShortBasis);
   if (stored_checksum != computed) {
     return Fail(error, "checksum mismatch");
   }

@@ -43,7 +43,7 @@ struct CheckpointPartition {
   VertexId lo = 0;
   VertexId hi = 0;
   std::string file;
-  uint64_t bytes = 0;  // raw-format byte charge (layout decisions)
+  uint64_t bytes = 0;  // RawFormatBytes size-model charge (layout decisions)
   uint64_t edges = 0;
   uint64_t version = 0;
   uint64_t disk_bytes = 0;  // actual file size at publish time

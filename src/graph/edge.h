@@ -24,13 +24,6 @@ struct EdgeRecord {
   std::vector<uint8_t> payload;
 };
 
-// Record wire format: varint src, varint dst, varint label, varint payload
-// length, payload bytes.
-void SerializeEdge(const EdgeRecord& edge, std::vector<uint8_t>* out);
-
-// Returns false at end-of-stream or on corruption.
-bool DeserializeEdge(ByteReader* reader, EdgeRecord* edge);
-
 // 64-bit content hash of the full record (used for dedup indexing).
 uint64_t EdgeContentHash(VertexId src, VertexId dst, Label label, const uint8_t* payload,
                          size_t payload_len);

@@ -144,19 +144,15 @@ GraphEngine::GraphEngine(const Grammar* grammar, ConstraintOracle* oracle, Engin
       owned_runtime_(options_.runtime != nullptr
                          ? nullptr
                          : std::make_unique<TaskRuntime>(TaskRuntimeOptions{
-                               // One worker per join shard, plus one to
-                               // service the background I/O lanes when the
-                               // pipeline is on (mirrors the dedicated I/O
-                               // worker the legacy two-pool layout had).
-                               ResolveThreadCount(options_.num_threads) +
-                                   (ResolveIoPipeline(options_.io_pipeline) ? 1 : 0),
-                               ResolveStealPolicy(StealPolicy::kLocalityAware)})),
+                               // One worker per join shard, plus one that
+                               // keeps the background I/O lanes moving.
+                               ResolveThreadCount(options_.num_threads) + 1})),
       runtime_(options_.runtime != nullptr ? options_.runtime : owned_runtime_.get()),
       join_shards_(ResolveThreadCount(options_.num_threads)),
-      store_(options_.work_dir, &metrics_,
-             PartitionStorePipeline{ResolveIoPipeline(options_.io_pipeline),
-                                    options_.budget_lease, options_.memory_budget_bytes,
-                                    runtime_}) {
+      store_(options_.work_dir, *runtime_, &metrics_,
+             PartitionCacheBudget{options_.budget_lease, options_.memory_budget_bytes}) {
+  GRAPPLE_CHECK(options_.io_pipeline)
+      << "EngineOptions::io_pipeline = false is retired: partition I/O is always pipelined";
   obs::EventLogInstall();
   // Propose this engine's work dir as the crash-dump target; the Grapple
   // facade (when present) has already claimed the run work dir.
@@ -501,7 +497,7 @@ void GraphEngine::Run() {
     // fixpoint sweep) so its partitions load from cache.
     size_t next_i = 0;
     size_t next_j = 0;
-    if (store_.pipeline_enabled() && PredictNextPair(pick_i, pick_j, &next_i, &next_j)) {
+    if (PredictNextPair(pick_i, pick_j, &next_i, &next_j)) {
       store_.Hint({next_i, next_j});
     }
     live_pair_.store((static_cast<uint64_t>(pick_i) << 32) | static_cast<uint64_t>(pick_j),

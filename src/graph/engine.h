@@ -58,12 +58,12 @@ struct EngineOptions {
   // partition store's I/O strands. The facade injects its session runtime
   // so engines never own threads; when null (standalone engines in tests,
   // benches, tools) the engine creates a private runtime sized
-  // ResolveThreadCount(num_threads), plus one worker for the background
-  // I/O lanes when the pipeline is on. Must outlive the engine.
+  // ResolveThreadCount(num_threads) + 1, the extra worker for the
+  // background I/O lanes. Must outlive the engine.
   TaskRuntime* runtime = nullptr;
-  // Pipelined partition I/O: write-behind, schedule-driven prefetch, and
-  // the compact block file format (see partition_store.h and DESIGN.md).
-  // Results are byte-identical either way; GRAPPLE_IO_PIPELINE overrides.
+  // Retired switch, kept so existing callers still compile: partition I/O
+  // is always pipelined (see partition_store.h). Must stay true; the
+  // constructor checks it.
   bool io_pipeline = true;
   // Per-(src,dst,label) cap on distinct payload variants; reaching it
   // widens the triple to the always-true payload. Guarantees termination

@@ -11,14 +11,6 @@ namespace {
 
 constexpr char kBlockMagic[4] = {'G', 'R', 'P', 'B'};
 
-uint64_t Fnv1aBytes(const uint8_t* data, size_t len) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (size_t i = 0; i < len; ++i) {
-    h = (h ^ data[i]) * 0x100000001b3ULL;
-  }
-  return h;
-}
-
 size_t VarintLen(uint64_t value) {
   size_t len = 1;
   while (value >= 0x80) {
@@ -47,7 +39,7 @@ struct SpanRef {
 };
 struct SpanHash {
   size_t operator()(const SpanRef& s) const {
-    return static_cast<size_t>(Fnv1aBytes(s.data, s.len));
+    return static_cast<size_t>(Fnv1a64(s.data, s.len));
   }
 };
 struct SpanEq {
@@ -63,21 +55,6 @@ size_t SharedPrefix(const SpanRef& a, const SpanRef& b) {
     ++i;
   }
   return i;
-}
-
-PartitionDecodeStatus DecodeRaw(const std::string& path, const std::vector<uint8_t>& bytes,
-                                std::vector<EdgeRecord>* edges) {
-  ByteReader reader(bytes);
-  while (!reader.AtEnd()) {
-    size_t offset = reader.position();
-    EdgeRecord edge;
-    if (!DeserializeEdge(&reader, &edge)) {
-      return Corrupt("truncated or corrupt raw edge record in " + At(path, offset) + " (" +
-                     std::to_string(bytes.size()) + " bytes total)");
-    }
-    edges->push_back(std::move(edge));
-  }
-  return PartitionDecodeStatus();
 }
 
 PartitionDecodeStatus DecodeBlocks(const std::string& path, const std::vector<uint8_t>& bytes,
@@ -101,7 +78,11 @@ PartitionDecodeStatus DecodeBlocks(const std::string& path, const std::vector<ui
     if (!reader.ok()) {
       return Corrupt("truncated block header in " + At(path, block_offset));
     }
-    if (edge_count == 0 || payload_count == 0 || payload_count > edge_count) {
+    // The header is outside the checksum, so the counts are also held to
+    // the body size (an edge entry takes >= 4 bytes, a payload entry >= 2)
+    // before they size any allocation.
+    if (edge_count == 0 || payload_count == 0 || payload_count > edge_count ||
+        edge_count > body_len / 4 || payload_count > (body_len - 4 * edge_count) / 2) {
       return Corrupt("implausible block header in " + At(path, block_offset) + " (" +
                      std::to_string(edge_count) + " edges, " + std::to_string(payload_count) +
                      " payloads)");
@@ -115,7 +96,7 @@ PartitionDecodeStatus DecodeBlocks(const std::string& path, const std::vector<ui
     size_t body_offset = reader.position();
     reader.Skip(body_len);
     uint64_t stored_sum = reader.GetFixed64();
-    uint64_t actual_sum = Fnv1aBytes(body, body_len);
+    uint64_t actual_sum = Fnv1a64(body, body_len);
     if (stored_sum != actual_sum) {
       char expected[24];
       char actual[24];
@@ -201,11 +182,7 @@ uint64_t RawFormatBytes(const std::vector<EdgeRecord>& edges) {
   return total;
 }
 
-void AppendEdgeBlock(const std::vector<EdgeRecord>& edges, std::vector<uint8_t>* out,
-                     uint64_t* raw_bytes) {
-  if (raw_bytes != nullptr) {
-    *raw_bytes = RawFormatBytes(edges);
-  }
+void AppendEdgeBlock(const std::vector<EdgeRecord>& edges, std::vector<uint8_t>* out) {
   if (edges.empty()) {
     return;
   }
@@ -260,16 +237,17 @@ void AppendEdgeBlock(const std::vector<EdgeRecord>& edges, std::vector<uint8_t>*
   PutVarint64(out, table.size());
   PutVarint64(out, body.size());
   out->insert(out->end(), body.begin(), body.end());
-  PutFixed64(out, Fnv1aBytes(body.data(), body.size()));
+  PutFixed64(out, Fnv1a64(body.data(), body.size()));
 }
 
 PartitionDecodeStatus DecodePartitionBytes(const std::string& path,
                                            const std::vector<uint8_t>& bytes,
                                            std::vector<EdgeRecord>* edges) {
-  if (HasBlockFileHeader(bytes)) {
-    return DecodeBlocks(path, bytes, edges);
+  if (!HasBlockFileHeader(bytes)) {
+    return Corrupt("not a block-format partition file (no GRPB header) in " + At(path, 0) +
+                   " (" + std::to_string(bytes.size()) + " bytes total)");
   }
-  return DecodeRaw(path, bytes, edges);
+  return DecodeBlocks(path, bytes, edges);
 }
 
 }  // namespace grapple

@@ -24,12 +24,11 @@
 // encodings; that is where most of the size reduction comes from. The delta
 // varint edge fields shave the fixed per-record overhead on top.
 //
-// Decoding auto-detects the legacy raw format (a bare SerializeEdge stream,
-// no magic), so a store can always read back whatever an earlier
-// configuration wrote. All decode failures are reported as descriptive
+// This is the only partition file format: a file without the header is
+// rejected, not guessed at. All decode failures are reported as descriptive
 // errors naming the file, the byte offset, and the nature of the corruption
-// (truncation, checksum mismatch, implausible structure) instead of
-// producing garbage edges.
+// (missing header, truncation, checksum mismatch, implausible structure)
+// instead of producing garbage edges.
 #ifndef GRAPPLE_SRC_GRAPH_PARTITION_CODEC_H_
 #define GRAPPLE_SRC_GRAPH_PARTITION_CODEC_H_
 
@@ -58,18 +57,22 @@ void AppendBlockFileHeader(std::vector<uint8_t>* out);
 bool HasBlockFileHeader(const std::vector<uint8_t>& bytes);
 
 // Encodes `edges` as one block appended to `*out`. No-op for empty input.
-// When non-null, `*raw_bytes` receives the size the same edges occupy in the
-// legacy raw record format (for compression-ratio accounting).
-void AppendEdgeBlock(const std::vector<EdgeRecord>& edges, std::vector<uint8_t>* out,
-                     uint64_t* raw_bytes);
+void AppendEdgeBlock(const std::vector<EdgeRecord>& edges, std::vector<uint8_t>* out);
 
-// Size of `edges` in the legacy raw record format, without serializing.
+// The store's size model for a set of edges: the sum, per edge, of the
+// varint lengths of src, dst, label and payload length, plus the payload
+// bytes. It is not a file format — nothing is written this way. The store
+// charges partitions by this model instead of by encoded block bytes, so
+// partition cuts, splits and the pair schedule (and therefore joins and
+// reports) do not depend on how well a block compresses; table3 reports
+// the on-disk saving as 1 - io_bytes_written / io_raw_bytes.
 uint64_t RawFormatBytes(const std::vector<EdgeRecord>& edges);
 
-// Decodes a whole partition file — block format v1 or legacy raw, detected
-// by the magic — appending to `*edges`. `path` is used only for error
-// messages. On failure `*edges` may hold a decoded prefix; callers should
-// treat the file as unusable.
+// Decodes a whole block-format partition file, appending to `*edges`.
+// `path` is used only for error messages. A file that does not start with
+// the block-format magic fails with an error naming the path. On failure
+// `*edges` may hold a decoded prefix; callers should treat the file as
+// unusable.
 PartitionDecodeStatus DecodePartitionBytes(const std::string& path,
                                            const std::vector<uint8_t>& bytes,
                                            std::vector<EdgeRecord>* edges);

@@ -26,9 +26,9 @@ const obs::ScopeName kSplitScope("split");
 
 }  // namespace
 
-PartitionStore::PartitionStore(std::string dir, obs::MetricsRegistry* metrics,
-                               PartitionStorePipeline pipeline)
-    : dir_(std::move(dir)), metrics_(metrics), pipeline_(pipeline) {
+PartitionStore::PartitionStore(std::string dir, TaskRuntime& runtime,
+                               obs::MetricsRegistry* metrics, PartitionCacheBudget budget)
+    : dir_(std::move(dir)), metrics_(metrics), runtime_(runtime), budget_(budget) {
   if (metrics_ != nullptr) {
     c_phase_io_ns_ = metrics_->Counter("phase_io_ns");
     c_bytes_read_ = metrics_->Counter("io_bytes_read");
@@ -37,25 +37,12 @@ PartitionStore::PartitionStore(std::string dir, obs::MetricsRegistry* metrics,
     c_writes_ = metrics_->Counter("io_partition_writes_total");
     c_appends_ = metrics_->Counter("io_partition_appends_total");
     c_splits_ = metrics_->Counter("io_partition_splits_total");
-    c_compressed_bytes_ = metrics_->Counter("io_compressed_bytes");
+    c_raw_bytes_ = metrics_->Counter("io_raw_bytes");
     c_prefetch_hits_ = metrics_->Counter("io_prefetch_hits_total");
     c_write_cache_hits_ = metrics_->Counter("io_write_cache_hits_total");
     c_prefetch_wasted_ = metrics_->Counter("io_prefetch_wasted_total");
     c_prefetch_issued_ = metrics_->Counter("io_prefetch_issued_total");
     c_cache_borrows_ = metrics_->Counter("io_cache_budget_borrows_total");
-  }
-  if (pipeline_.enabled) {
-    if (pipeline_.runtime != nullptr) {
-      runtime_ = pipeline_.runtime;
-    } else {
-      // Standalone store (tests, tools): no shared scheduler was provided,
-      // so spin up a private single-worker runtime. One worker makes every
-      // strand trivially serial, matching the legacy dedicated I/O thread.
-      TaskRuntimeOptions options;
-      options.workers = 1;
-      owned_runtime_ = std::make_unique<TaskRuntime>(options);
-      runtime_ = owned_runtime_.get();
-    }
   }
   introspect_queue_depth_ = obs::Introspection::RegisterGaugeSource(
       "io_queue_depth", [this] { return static_cast<double>(queue_depth_.load(std::memory_order_relaxed)); });
@@ -76,8 +63,7 @@ std::string PartitionStore::FileFor(VertexId lo) const {
 }
 
 uint64_t PartitionStore::CacheCapacity() const {
-  uint64_t budget = pipeline_.budget_lease != nullptr ? pipeline_.budget_lease->bytes()
-                                                      : pipeline_.budget_bytes;
+  uint64_t budget = budget_.lease != nullptr ? budget_.lease->bytes() : budget_.bytes;
   return std::max(budget / 4, kMinCacheBytes) + cache_borrowed_;
 }
 
@@ -95,7 +81,7 @@ void PartitionStore::Enqueue(const std::string& path, TaskLane lane,
   // task runs on a shared worker still attribute to the checker whose
   // mutation queued the I/O.
   uint32_t checker = obs::ProfCurrentChecker();
-  runtime_->SubmitSerial(path, lane, [this, path, checker, fn = std::move(fn)] {
+  runtime_.SubmitSerial(path, lane, [this, path, checker, fn = std::move(fn)] {
     obs::ProfChecker prof_checker(checker);
     obs::Scope scope(kIoScope);
     fn();
@@ -109,13 +95,10 @@ void PartitionStore::Enqueue(const std::string& path, TaskLane lane,
 }
 
 void PartitionStore::WaitForPath(const std::string& path) {
-  runtime_->WaitSerial(path, evt::kWaitIoQueue);
+  runtime_.WaitSerial(path, evt::kWaitIoQueue);
 }
 
 void PartitionStore::DrainAll() {
-  if (runtime_ == nullptr) {
-    return;
-  }
   // Strands retire their own pending_ops_ entry, so waiting out whichever
   // path is first until the map empties visits every strand exactly once
   // (new work is only ever queued by the foreground thread — this one).
@@ -128,12 +111,12 @@ void PartitionStore::DrainAll() {
       }
       path = pending_ops_.begin()->first;
     }
-    runtime_->WaitSerial(path, evt::kWaitIoBarrier);
+    runtime_.WaitSerial(path, evt::kWaitIoBarrier);
   }
 }
 
 void PartitionStore::Sync() {
-  if (runtime_ != nullptr) {
+  {
     obs::Scope scope(kIoScope, metrics_, c_phase_io_ns_);
     DrainAll();
   }
@@ -160,9 +143,6 @@ void PartitionStore::ThrowIfIoError() {
 }
 
 void PartitionStore::InvalidateCache(const std::string& path) {
-  if (runtime_ == nullptr) {
-    return;
-  }
   std::lock_guard<std::mutex> lock(cache_mutex_);
   auto it = cache_.find(path);
   if (it == cache_.end()) {
@@ -184,7 +164,7 @@ void PartitionStore::InvalidateCache(const std::string& path) {
 
 void PartitionStore::CachePut(const std::string& path, uint64_t version, uint64_t charge,
                               std::shared_ptr<const std::vector<EdgeRecord>> content) {
-  if (runtime_ == nullptr || content == nullptr) {
+  if (content == nullptr) {
     return;
   }
   charge = std::max<uint64_t>(charge, 1);
@@ -221,53 +201,35 @@ std::vector<EdgeRecord> PartitionStore::DecodeOrThrow(const std::string& path,
 uint64_t PartitionStore::WriteOrQueue(const std::string& path, std::vector<EdgeRecord> edges,
                                       bool rewrite,
                                       std::shared_ptr<const std::vector<EdgeRecord>>* content) {
-  if (!pipeline_.enabled) {
-    // Only the synchronous fallback blocks on the file system, so only it
-    // is charged to the foreground "io" phase. The pipelined handoff below
-    // is queue bookkeeping (plus the wake of a parked worker, which on a
-    // small machine is a preemption point that runs the flush) and stays
-    // in whatever phase the caller is in.
-    obs::Scope scope(kIoScope, metrics_, c_phase_io_ns_);
-    std::vector<uint8_t> buffer;
-    for (const auto& edge : edges) {
-      SerializeEdge(edge, &buffer);
-    }
-    if (metrics_ != nullptr) {
-      metrics_->Add(c_bytes_written_, buffer.size());
-    }
-    std::string error;
-    bool ok = rewrite ? WriteFileBytes(path, buffer, &error) : AppendFileBytes(path, buffer, &error);
-    if (!ok) {
-      throw IoError("partition " + std::string(rewrite ? "write" : "append") + " failed: " +
-                    error);
-    }
-    return buffer.size();
-  }
-  // Write-behind: the caller only pays for handing the edges over; the
-  // block encode and the file write both run as a write-behind-lane task on
-  // the file's strand. Ownership is shared between the queued task and the
-  // caller's write-back cache entry, so no copy is made on either side.
-  // Metadata is charged the raw-format size so partition layout decisions
-  // are identical to the synchronous path.
+  // The caller only pays for handing the edges over; the block encode and
+  // the file write both run as a write-behind-lane task on the file's
+  // strand. Ownership is shared between the queued task and the caller's
+  // write-back cache entry, so no copy is made on either side. The handoff
+  // is queue bookkeeping (plus the wake of a parked worker), so it stays in
+  // whatever phase the caller is in rather than the "io" bucket.
   uint64_t raw_bytes = RawFormatBytes(edges);
   auto shared = std::make_shared<const std::vector<EdgeRecord>>(std::move(edges));
   if (content != nullptr) {
     *content = shared;
   }
+  if (metrics_ != nullptr) {
+    metrics_->Add(rewrite ? c_writes_ : c_appends_);
+  }
   {
     std::lock_guard<std::mutex> lock(cache_mutex_);
     ++pending_writes_[path];
   }
-  Enqueue(path, TaskLane::kWriteBehind, [this, path, rewrite, edges = std::move(shared)] {
+  Enqueue(path, TaskLane::kWriteBehind,
+          [this, path, rewrite, raw_bytes, edges = std::move(shared)] {
     obs::Scope scope(kFlushScope);
     std::vector<uint8_t> buffer;
     if (rewrite) {
       AppendBlockFileHeader(&buffer);
     }
-    AppendEdgeBlock(*edges, &buffer, nullptr);
+    AppendEdgeBlock(*edges, &buffer);
     if (metrics_ != nullptr) {
       // Thread-sharded counters; safe off the foreground thread.
-      metrics_->Add(c_compressed_bytes_, buffer.size());
+      metrics_->Add(c_raw_bytes_, raw_bytes);
       metrics_->Add(c_bytes_written_, buffer.size());
     }
     std::string error;
@@ -287,15 +249,6 @@ uint64_t PartitionStore::WriteOrQueue(const std::string& path, std::vector<EdgeR
     }
   });
   return raw_bytes;
-}
-
-void PartitionStore::WriteEdges(const std::string& path, std::vector<EdgeRecord> edges,
-                                uint64_t* bytes,
-                                std::shared_ptr<const std::vector<EdgeRecord>>* content) {
-  *bytes = WriteOrQueue(path, std::move(edges), /*rewrite=*/true, content);
-  if (metrics_ != nullptr) {
-    metrics_->Add(c_writes_);
-  }
 }
 
 void PartitionStore::Initialize(std::vector<EdgeRecord> edges, VertexId num_vertices,
@@ -339,7 +292,7 @@ void PartitionStore::Initialize(std::vector<EdgeRecord> edges, VertexId num_vert
                                   edges.begin() + static_cast<ptrdiff_t>(end));
     info.edges = chunk.size();
     std::shared_ptr<const std::vector<EdgeRecord>> content;
-    WriteEdges(info.path, std::move(chunk), &info.bytes, &content);
+    info.bytes = WriteOrQueue(info.path, std::move(chunk), /*rewrite=*/true, &content);
     info.version = 1;
     info.segments = {{1, info.edges}};
     CachePut(info.path, info.version, info.bytes, std::move(content));
@@ -375,9 +328,6 @@ size_t PartitionStore::PartitionOf(VertexId v) const {
 }
 
 void PartitionStore::Hint(const std::vector<size_t>& next_indices) {
-  if (runtime_ == nullptr) {
-    return;
-  }
   obs::Scope scope(kHintScope);
   for (size_t index : next_indices) {
     if (index >= partitions_.size()) {
@@ -395,7 +345,7 @@ void PartitionStore::Hint(const std::vector<size_t>& next_indices) {
     if (cache_bytes_ + need > CacheCapacity()) {
       // Try to borrow headroom from the shared budget before giving up on
       // the read-ahead. The lease is only ever touched from this thread.
-      BudgetLease* lease = pipeline_.budget_lease;
+      BudgetLease* lease = budget_.lease;
       if (lease == nullptr || !lease->TryGrowTo(lease->bytes() + need)) {
         continue;
       }
@@ -457,58 +407,56 @@ std::vector<EdgeRecord> PartitionStore::Load(size_t index) {
   obs::Scope scope(kIoScope, metrics_, c_phase_io_ns_);
   ThrowIfIoError();
   const PartitionInfo& info = partitions_[index];
-  if (runtime_ != nullptr) {
-    bool pending = false;
-    {
-      std::lock_guard<std::mutex> lock(cache_mutex_);
-      auto it = cache_.find(info.path);
-      if (it != cache_.end() && it->second.version == info.version) {
-        if (it->second.ready && !it->second.failed) {
-          ++it->second.hits;
-          if (metrics_ != nullptr) {
-            metrics_->Add(it->second.from_prefetch ? c_prefetch_hits_ : c_write_cache_hits_);
-            metrics_->Add(c_loads_);
-          }
-          if (it->second.from_prefetch) {
-            evt::Emit(evt::kPrefetchHit, it->second.charge);
-          }
-          evt::Emit(evt::kPartitionLoad, index, info.bytes);
-          return *it->second.edges;  // copy; the entry stays until stale
-        }
-        pending = !it->second.ready;
-      }
-    }
-    if (pending) {
-      // The prefetch read is queued (or running) on this file's strand;
-      // wait it out instead of issuing a duplicate foreground read.
-      WaitForPath(info.path);
-      std::lock_guard<std::mutex> lock(cache_mutex_);
-      auto it = cache_.find(info.path);
-      if (it != cache_.end() && it->second.version == info.version && it->second.ready &&
-          !it->second.failed) {
+  bool pending = false;
+  {
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    auto it = cache_.find(info.path);
+    if (it != cache_.end() && it->second.version == info.version) {
+      if (it->second.ready && !it->second.failed) {
         ++it->second.hits;
         if (metrics_ != nullptr) {
-          metrics_->Add(c_prefetch_hits_);
+          metrics_->Add(it->second.from_prefetch ? c_prefetch_hits_ : c_write_cache_hits_);
           metrics_->Add(c_loads_);
         }
-        evt::Emit(evt::kPrefetchHit, it->second.charge);
+        if (it->second.from_prefetch) {
+          evt::Emit(evt::kPrefetchHit, it->second.charge);
+        }
         evt::Emit(evt::kPartitionLoad, index, info.bytes);
-        return *it->second.edges;
+        return *it->second.edges;  // copy; the entry stays until stale
       }
+      pending = !it->second.ready;
     }
-    // Miss (or failed prefetch): read in the foreground. Only this file's
-    // strand has to drain, and only when the file has unfinished queued
-    // writes — other files' pending work cannot affect what this read
-    // returns, and now no longer delays it either.
-    bool pending_write;
-    {
-      std::lock_guard<std::mutex> lock(cache_mutex_);
-      pending_write = pending_writes_.count(info.path) > 0;
+  }
+  if (pending) {
+    // The prefetch read is queued (or running) on this file's strand;
+    // wait it out instead of issuing a duplicate foreground read.
+    WaitForPath(info.path);
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    auto it = cache_.find(info.path);
+    if (it != cache_.end() && it->second.version == info.version && it->second.ready &&
+        !it->second.failed) {
+      ++it->second.hits;
+      if (metrics_ != nullptr) {
+        metrics_->Add(c_prefetch_hits_);
+        metrics_->Add(c_loads_);
+      }
+      evt::Emit(evt::kPrefetchHit, it->second.charge);
+      evt::Emit(evt::kPartitionLoad, index, info.bytes);
+      return *it->second.edges;
     }
-    if (pending_write) {
-      WaitForPath(info.path);
-      ThrowIfIoError();
-    }
+  }
+  // Miss (or failed prefetch): read in the foreground. Only this file's
+  // strand has to drain, and only when the file has unfinished queued
+  // writes — other files' pending work cannot affect what this read
+  // returns, and now no longer delays it either.
+  bool pending_write;
+  {
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    pending_write = pending_writes_.count(info.path) > 0;
+  }
+  if (pending_write) {
+    WaitForPath(info.path);
+    ThrowIfIoError();
   }
   std::vector<uint8_t> bytes;
   std::string error;
@@ -537,7 +485,7 @@ void PartitionStore::Rewrite(size_t index, const std::vector<EdgeRecord>& edges)
     info.path = FileFor(info.lo);
   }
   std::shared_ptr<const std::vector<EdgeRecord>> content;
-  WriteEdges(info.path, edges, &info.bytes, &content);
+  info.bytes = WriteOrQueue(info.path, edges, /*rewrite=*/true, &content);
   info.edges = edges.size();
   ++info.version;
   // Rewrites preserve the prefix order of previously recorded edges (the
@@ -555,9 +503,6 @@ void PartitionStore::Append(size_t index, const std::vector<EdgeRecord>& edges) 
   PartitionInfo& info = partitions_[index];
   InvalidateCache(info.path);
   uint64_t bytes = WriteOrQueue(info.path, edges, /*rewrite=*/false);
-  if (metrics_ != nullptr) {
-    metrics_->Add(c_appends_);
-  }
   info.bytes += bytes;
   info.edges += edges.size();
   ++info.version;
@@ -658,20 +603,19 @@ size_t PartitionStore::SplitAndRewrite(size_t index, std::vector<EdgeRecord> edg
   if (checkpoint_mode_ && pinned_.count(original.path) > 0) {
     // Deferred: the last published manifest still references this file.
     retired_.push_back(original.path);
-  } else if (pipeline_.enabled) {
+  } else {
     // Queued on the file's own strand so the removal happens after any
     // pending append to it.
     Enqueue(original.path, TaskLane::kWriteBehind,
             [path = original.path] { RemoveFile(path); });
-  } else {
-    RemoveFile(original.path);
   }
   for (size_t i = 0; i < pieces.size(); ++i) {
     ++file_counter_;
     pieces[i].path = FileFor(pieces[i].lo);
     pieces[i].edges = piece_edges[i].size();
     std::shared_ptr<const std::vector<EdgeRecord>> content;
-    WriteEdges(pieces[i].path, std::move(piece_edges[i]), &pieces[i].bytes, &content);
+    pieces[i].bytes =
+        WriteOrQueue(pieces[i].path, std::move(piece_edges[i]), /*rewrite=*/true, &content);
     pieces[i].version = original.version + 1;
     pieces[i].segments.emplace_back(pieces[i].version, pieces[i].edges);
     CachePut(pieces[i].path, pieces[i].version, pieces[i].bytes, std::move(content));

@@ -7,7 +7,7 @@
 // compacts base + deltas. Oversized partitions are split ("repartitioning")
 // so that any two partitions still fit the memory budget together.
 //
-// Pipelined mode (see DESIGN.md, "Pipelined partition I/O"): when enabled,
+// Partition I/O is pipelined (see DESIGN.md, "Pipelined partition I/O"):
 // every disk operation runs as a background task on the shared TaskRuntime
 // (DESIGN.md §14) — Rewrite/Append/SplitAndRewrite hand their edges to a
 // write-behind task, which encodes them (compact block format,
@@ -19,12 +19,12 @@
 // file itself has queued writes (tracked per path). Every task is submitted
 // onto the runtime's per-file serial strand (SubmitSerial keyed by path),
 // so a queued read always observes every earlier queued write to the same
-// file — different files proceed in parallel, but per-file order is the
-// legacy 1-thread-FIFO order, and results stay byte-identical to the
-// synchronous path. Metadata (bytes/edges/version/segments) is updated at
-// enqueue time on the caller's thread — charged at raw-format size in both
-// modes, so partition layout decisions are mode-independent — and is never
-// touched by background tasks.
+// file — different files proceed in parallel. Metadata
+// (bytes/edges/version/segments) is updated at enqueue time on the caller's
+// thread and is never touched by background tasks. Partition sizes are
+// charged by the RawFormatBytes size model, not by encoded bytes, so the
+// layout (and with it the join order and the reports) does not depend on
+// how well a block compresses.
 #ifndef GRAPPLE_SRC_GRAPH_PARTITION_STORE_H_
 #define GRAPPLE_SRC_GRAPH_PARTITION_STORE_H_
 
@@ -60,33 +60,27 @@ struct PartitionInfo {
   std::vector<std::pair<uint64_t, uint64_t>> segments;
 };
 
-// Pipelining knobs, normally filled in from EngineOptions. Default
-// construction means fully synchronous legacy behavior (raw record files,
-// no worker thread) — what existing tests construct.
-struct PartitionStorePipeline {
-  // Enables write-behind + prefetch + the compact block format.
-  bool enabled = false;
+// Sizing of the store's write-back/prefetch cache, normally filled in from
+// EngineOptions.
+struct PartitionCacheBudget {
   // Optional shared budget (must outlive the store; only ever touched from
   // the store's owning thread): the prefetch cache tries to grow the lease
-  // before turning a Hint away. May be null even when enabled.
-  BudgetLease* budget_lease = nullptr;
-  // Fallback budget when no lease is present. The prefetch cache is sized
-  // at budget/4 — one partition-target's worth of read-ahead.
-  uint64_t budget_bytes = uint64_t{64} << 20;
-  // Scheduler that executes the store's per-file I/O strands (non-owning;
-  // must outlive the store). Null with `enabled` set means the store spins
-  // up a private single-worker runtime — the standalone-test configuration.
-  TaskRuntime* runtime = nullptr;
+  // before turning a Hint away.
+  BudgetLease* lease = nullptr;
+  // Fallback budget when no lease is present. The cache is sized at
+  // budget/4 — one partition-target's worth of read-ahead.
+  uint64_t bytes = uint64_t{64} << 20;
 };
 
 class PartitionStore {
  public:
-  // `dir` must exist; `metrics` (optional) receives io_* counters (bytes
-  // and operation counts), which keep their on-disk meaning in both modes,
-  // and "phase_io_ns" (foreground blocking time only — background worker
-  // time is deliberately excluded).
-  explicit PartitionStore(std::string dir, obs::MetricsRegistry* metrics = nullptr,
-                          PartitionStorePipeline pipeline = {});
+  // `dir` must exist. `runtime` executes the store's per-file I/O strands
+  // and must outlive the store (standalone users pass a 1-worker runtime).
+  // `metrics` (optional) receives io_* counters (on-disk bytes and
+  // operation counts) and "phase_io_ns" (foreground blocking time only —
+  // background worker time is deliberately excluded).
+  PartitionStore(std::string dir, TaskRuntime& runtime, obs::MetricsRegistry* metrics = nullptr,
+                 PartitionCacheBudget budget = {});
   ~PartitionStore();
 
   // Creates the initial layout from base edges, targeting `target_bytes`
@@ -96,7 +90,6 @@ class PartitionStore {
   size_t NumPartitions() const { return partitions_.size(); }
   const PartitionInfo& Info(size_t index) const { return partitions_[index]; }
   VertexId num_vertices() const { return num_vertices_; }
-  bool pipeline_enabled() const { return pipeline_.enabled; }
 
   // Where the engine's derivation-provenance log lives: next to the
   // partition files, so one work dir holds a run's full on-disk state.
@@ -105,9 +98,10 @@ class PartitionStore {
   // Index of the partition owning vertex `v`.
   size_t PartitionOf(VertexId v) const;
 
-  // Reads a partition (base file including appended deltas). In pipelined
-  // mode the prefetch cache is consulted first; a miss waits out the file's
-  // own strand (so pending writes to it land) and reads in the foreground.
+  // Reads a partition (base file including appended deltas). The cache is
+  // consulted first; a miss waits out the file's own strand (so pending
+  // writes to it land) and reads in the foreground. A file that is not in
+  // the block format throws IoError naming the path.
   std::vector<EdgeRecord> Load(size_t index);
 
   // Rewrites a partition's file with exactly `edges`.
@@ -132,13 +126,13 @@ class PartitionStore {
   // Read-ahead hint: the engine expects to Load these partitions soon.
   // Queues prefetch-lane reads (behind each file's pending writes, so they
   // see current data) into the cache, as capacity — possibly borrowed from
-  // the budget lease — allows. No-op when pipelining is off.
+  // the budget lease — allows.
   void Hint(const std::vector<size_t>& next_indices);
 
   // Barrier: blocks until every queued write/read has hit the filesystem
-  // or the cache. Cheap when the queue is empty. No-op when pipelining is
-  // off. Counted as foreground "io" time. Throws IoError if any background
-  // write failed since the last barrier (see also Load).
+  // or the cache. Cheap when the queue is empty. Counted as foreground "io"
+  // time. Throws IoError if any background write failed since the last
+  // barrier (see also Load).
   void Sync();
 
   // --- checkpoint / recovery support (DESIGN.md §11) ---
@@ -217,21 +211,18 @@ class PartitionStore {
   };
 
   std::string FileFor(VertexId lo) const;
-  // Writes `edges` to the file (`rewrite` truncates, else appends) — either
-  // synchronously in raw format, or queued to the worker which encodes the
-  // block format and writes behind the caller's back. Returns the
-  // raw-format byte count in both modes (the metadata charge), so layout
-  // decisions never depend on the mode; on-disk counters (io_bytes_written,
-  // io_compressed_bytes) are bumped where the write actually happens.
-  // `content` (optional, pipelined mode only) receives shared ownership of
-  // the written edges, for the caller to install as a write-back cache
-  // entry once it knows the new partition version.
+  // Queues `edges` for the file (`rewrite` truncates, else appends): a
+  // write-behind task encodes one block and writes it behind the caller's
+  // back, and counts one partition write or append. Returns the
+  // RawFormatBytes charge for the metadata; the on-disk counters
+  // (io_bytes_written, io_raw_bytes) are bumped by the task.
+  // `content` (optional) receives shared ownership of the written edges,
+  // for the caller to install as a write-back cache entry once it knows the
+  // new partition version.
   uint64_t WriteOrQueue(const std::string& path, std::vector<EdgeRecord> edges, bool rewrite,
                         std::shared_ptr<const std::vector<EdgeRecord>>* content = nullptr);
-  void WriteEdges(const std::string& path, std::vector<EdgeRecord> edges, uint64_t* bytes,
-                  std::shared_ptr<const std::vector<EdgeRecord>>* content = nullptr);
   // Installs a ready write-back entry for `path` at `version`, if the cache
-  // has room. No-op in legacy mode or when `content` is null.
+  // has room. No-op when `content` is null.
   void CachePut(const std::string& path, uint64_t version, uint64_t charge,
                 std::shared_ptr<const std::vector<EdgeRecord>> content);
   // Queues `fn` on `path`'s serial strand in `lane`, maintaining the
@@ -269,13 +260,14 @@ class PartitionStore {
   obs::MetricId c_writes_ = obs::kInvalidMetric;
   obs::MetricId c_appends_ = obs::kInvalidMetric;
   obs::MetricId c_splits_ = obs::kInvalidMetric;
-  obs::MetricId c_compressed_bytes_ = obs::kInvalidMetric;
+  obs::MetricId c_raw_bytes_ = obs::kInvalidMetric;
   obs::MetricId c_prefetch_hits_ = obs::kInvalidMetric;
   obs::MetricId c_write_cache_hits_ = obs::kInvalidMetric;
   obs::MetricId c_prefetch_wasted_ = obs::kInvalidMetric;
   obs::MetricId c_prefetch_issued_ = obs::kInvalidMetric;
   obs::MetricId c_cache_borrows_ = obs::kInvalidMetric;
-  PartitionStorePipeline pipeline_;
+  TaskRuntime& runtime_;
+  PartitionCacheBudget budget_;
   VertexId num_vertices_ = 0;
   std::vector<PartitionInfo> partitions_;  // sorted by lo, contiguous
   uint64_t file_counter_ = 0;
@@ -291,11 +283,10 @@ class PartitionStore {
   std::mutex io_error_mutex_;
   std::string io_error_;
 
-  // --- pipelined-mode state. `cache_mutex_` guards `cache_`,
+  // --- cache and strand bookkeeping. `cache_mutex_` guards `cache_`,
   // `pending_writes_`, and `pending_ops_`; everything else below is
   // foreground-only. The destructor drains every strand (DrainAll) while
-  // the rest of the store is alive; the owned fallback runtime is the last
-  // member so its worker joins happen before anything else is torn down.
+  // the rest of the store is alive.
   std::mutex cache_mutex_;
   std::unordered_map<std::string, CacheEntry> cache_;
   // Count of queued-but-unfinished writes per file. A Load miss only has to
@@ -312,15 +303,10 @@ class PartitionStore {
   // Mirror of cache_bytes_ for the /statusz sampler thread: cache_bytes_
   // itself is foreground-only, so scrapes read this relaxed copy instead.
   std::atomic<uint64_t> live_cache_bytes_{0};
-  // Introspection registrations. Declared after the atomics they read (so
-  // they unregister first in reverse destruction order) but before the
-  // runtime members: the gauge callbacks never touch the runtime.
+  // Introspection registrations. Declared after the atomics they read, so
+  // they unregister first in reverse destruction order.
   obs::Introspection::Handle introspect_queue_depth_;
   obs::Introspection::Handle introspect_cache_bytes_;
-  // Strand executor: `runtime_` points at pipeline_.runtime when the owner
-  // shared one, else at the private fallback. Null iff pipelining is off.
-  std::unique_ptr<TaskRuntime> owned_runtime_;
-  TaskRuntime* runtime_ = nullptr;
 };
 
 }  // namespace grapple

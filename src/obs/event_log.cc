@@ -15,6 +15,7 @@
 #include <tuple>
 
 #include "src/obs/json.h"
+#include "src/obs/ring_pool.h"
 #include "src/support/byte_io.h"
 #include "src/support/env.h"
 #include "src/support/event_hook.h"
@@ -53,14 +54,10 @@ struct Ring {
 
 struct LogState {
   std::mutex mu;
-  // Rings are never freed: a thread that exits mid-run leaves its tail
-  // behind for the post-mortem, which is the point of a flight recorder.
-  std::vector<Ring*> rings;
-  // Rings whose owner thread exited, oldest first. They stay in `rings`
-  // (their tail is still merged) until a new thread claims one, so a
-  // process that churns threads (a task runtime per session) holds as many
-  // rings as it ever ran threads at once, not one per thread it ever ran.
-  std::vector<Ring*> free_rings;
+  // A thread that exits mid-run leaves its tail behind for the post-mortem
+  // (the point of a flight recorder): its ring stays in rings.all(), and
+  // is merged, until a new thread claims it.
+  RingPool<Ring> rings;
   size_t capacity = 0;  // 0 = not yet resolved from env/default
   std::vector<std::string> strings;
   std::map<std::string, uint32_t> string_ids;
@@ -74,18 +71,18 @@ LogState& State() {
 
 std::atomic<bool> g_enabled{true};
 thread_local Ring* t_ring = nullptr;
-// Set once the thread's ring went back to the free list at thread exit;
+// Set once the thread's ring went back to the pool at thread exit;
 // events emitted later (by other thread-local destructors) are dropped.
 thread_local bool t_ring_released = false;
 
-// Returns the thread's ring to the free list when the thread exits.
+// Returns the thread's ring to the pool when the thread exits.
 struct RingRelease {
   Ring* ring = nullptr;
   ~RingRelease() {
     if (ring != nullptr) {
       LogState& state = State();
       std::lock_guard<std::mutex> lock(state.mu);
-      state.free_rings.push_back(ring);
+      state.rings.Release(ring);
       t_ring = nullptr;
       t_ring_released = true;
     }
@@ -118,16 +115,11 @@ Ring* RegisterThreadRing() {
                           : std::min<size_t>(static_cast<size_t>(from_env), kMaxCapacity);
     state.capacity = RoundUpPow2(capacity);
   }
-  Ring* ring = nullptr;
-  auto reusable = std::find_if(state.free_rings.begin(), state.free_rings.end(),
-                               [&](Ring* r) { return r->slots.size() == state.capacity; });
-  if (reusable != state.free_rings.end()) {
-    ring = *reusable;
-    state.free_rings.erase(reusable);
-  } else {
-    ring = new Ring(state.capacity, static_cast<uint16_t>(state.rings.size() & 0xffff));
-    state.rings.push_back(ring);
-  }
+  Ring* ring = state.rings.Acquire(
+      [&](const Ring& r) { return r.slots.size() == state.capacity; },
+      [&](size_t index) {
+        return new Ring(state.capacity, static_cast<uint16_t>(index & 0xffff));
+      });
   t_ring = ring;
   t_ring_release.ring = ring;
   return ring;
@@ -222,7 +214,7 @@ std::vector<FlightEvent> MergeTail(size_t max_events) {
   {
     LogState& state = State();
     std::lock_guard<std::mutex> lock(state.mu);
-    for (Ring* ring : state.rings) {
+    for (Ring* ring : state.rings.all()) {
       // Oldest slot first, so the stable sort below keeps a thread's
       // same-timestamp events in emission order (B before its E).
       size_t size = ring->slots.size();
@@ -364,34 +356,6 @@ void InstallFatalHandler(int sig) {
   sigaction(sig, &sa, nullptr);
 }
 
-void AppendU32(std::string* out, uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
-}
-
-uint32_t TakeU32(const uint8_t* data) {
-  uint32_t value = 0;
-  for (int i = 3; i >= 0; --i) {
-    value = (value << 8) | data[i];
-  }
-  return value;
-}
-
-uint64_t TakeU64(const uint8_t* data) {
-  uint64_t value = 0;
-  for (int i = 7; i >= 0; --i) {
-    value = (value << 8) | data[i];
-  }
-  return value;
-}
-
 }  // namespace
 
 void EventLogInstall() {
@@ -423,6 +387,12 @@ void EventLogSetEnabled(bool enabled) {
 }
 
 bool EventLogEnabled() { return g_enabled.load(std::memory_order_relaxed); }
+
+size_t EventLogRingCount() {
+  LogState& state = State();
+  std::lock_guard<std::mutex> lock(state.mu);
+  return state.rings.all().size();
+}
 
 void EventLogSetCapacity(size_t events_per_thread) {
   LogState& state = State();
@@ -560,23 +530,25 @@ bool EventLogFlush(const std::string& path) {
   std::string blob;
   blob.reserve(24 + events.size() * sizeof(FlightEvent));
   blob.append(kMagic, sizeof(kMagic));
-  AppendU32(&blob, kFormatVersion);
-  AppendU64(&blob, events.size());
+  PutFixed32(&blob, kFormatVersion);
+  PutFixed64(&blob, events.size());
   for (const FlightEvent& event : events) {
-    AppendU64(&blob, event.ts_ns);
-    AppendU32(&blob, static_cast<uint32_t>(event.type) |
-                         (static_cast<uint32_t>(event.tid) << 16));
-    AppendU32(&blob, event.arg0);
-    AppendU64(&blob, event.arg1);
-    AppendU64(&blob, event.arg2);
+    PutFixed64(&blob, event.ts_ns);
+    PutFixed32(&blob, static_cast<uint32_t>(event.type) |
+                          (static_cast<uint32_t>(event.tid) << 16));
+    PutFixed32(&blob, event.arg0);
+    PutFixed64(&blob, event.arg1);
+    PutFixed64(&blob, event.arg2);
   }
-  AppendU32(&blob, static_cast<uint32_t>(strings.size()));
+  PutFixed32(&blob, static_cast<uint32_t>(strings.size()));
   for (const std::string& s : strings) {
-    AppendU32(&blob, static_cast<uint32_t>(s.size()));
+    PutFixed32(&blob, static_cast<uint32_t>(s.size()));
     blob.append(s);
   }
-  // Raw syscalls on purpose: this runs on crash paths where the byte_io
-  // layer (and its fault shim) must not be re-entered.
+  return EventLogRawWriteFile(path, blob);
+}
+
+bool EventLogRawWriteFile(const std::string& path, const std::string& blob) {
   int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) {
     return false;
@@ -613,13 +585,14 @@ bool DecodeFlightRecording(const std::string& path, FlightRecording* out, std::s
   if (bytes.size() < 16 || std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
     return fail("bad magic (not a flight recording)");
   }
-  uint32_t version = TakeU32(bytes.data() + 4);
+  uint32_t version = DecodeFixed32(bytes.data() + 4);
   if (version != kFormatVersion) {
     return fail("unsupported version " + std::to_string(version));
   }
-  uint64_t event_count = TakeU64(bytes.data() + 8);
+  uint64_t event_count = DecodeFixed64(bytes.data() + 8);
   size_t offset = 16;
-  if (bytes.size() < offset + event_count * 32) {
+  // Divided, not multiplied: event_count comes from the file.
+  if (event_count > (bytes.size() - offset) / 32) {
     return fail("truncated event section");
   }
   out->events.clear();
@@ -627,20 +600,20 @@ bool DecodeFlightRecording(const std::string& path, FlightRecording* out, std::s
   for (uint64_t i = 0; i < event_count; ++i) {
     const uint8_t* rec = bytes.data() + offset;
     FlightEvent event;
-    event.ts_ns = TakeU64(rec);
-    uint32_t packed = TakeU32(rec + 8);
+    event.ts_ns = DecodeFixed64(rec);
+    uint32_t packed = DecodeFixed32(rec + 8);
     event.type = static_cast<uint16_t>(packed & 0xffff);
     event.tid = static_cast<uint16_t>(packed >> 16);
-    event.arg0 = TakeU32(rec + 12);
-    event.arg1 = TakeU64(rec + 16);
-    event.arg2 = TakeU64(rec + 24);
+    event.arg0 = DecodeFixed32(rec + 12);
+    event.arg1 = DecodeFixed64(rec + 16);
+    event.arg2 = DecodeFixed64(rec + 24);
     out->events.push_back(event);
     offset += 32;
   }
   if (bytes.size() < offset + 4) {
     return fail("truncated string table");
   }
-  uint32_t string_count = TakeU32(bytes.data() + offset);
+  uint32_t string_count = DecodeFixed32(bytes.data() + offset);
   offset += 4;
   out->strings.clear();
   out->strings.reserve(string_count);
@@ -648,7 +621,7 @@ bool DecodeFlightRecording(const std::string& path, FlightRecording* out, std::s
     if (bytes.size() < offset + 4) {
       return fail("truncated string table entry");
     }
-    uint32_t length = TakeU32(bytes.data() + offset);
+    uint32_t length = DecodeFixed32(bytes.data() + offset);
     offset += 4;
     if (bytes.size() < offset + length) {
       return fail("truncated string table entry");

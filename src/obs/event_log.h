@@ -61,6 +61,10 @@ bool EventLogEnabled();
 // after the call; existing rings keep their size.
 void EventLogSetCapacity(size_t events_per_thread);
 
+// Rings made so far, parked ones included. A new thread takes a parked ring
+// before one is made, so this follows the peak number of live threads.
+size_t EventLogRingCount();
+
 // Interns `s` into the process-wide string table and returns its stable
 // id, for event args that name things (checker names, crash points).
 uint32_t EventLogInternString(const std::string& s);
@@ -93,6 +97,11 @@ std::string EventLogCrashDumpPath();
 // Safe on crash paths: raw syscalls, no byte_io, no allocation beyond the
 // merge buffer. Returns false on I/O failure.
 bool EventLogFlush(const std::string& path);
+
+// Writes `blob` to `path` (truncating) and fsyncs it with raw syscalls,
+// never entering byte_io or its fault shim: the writer for flightrec.bin
+// and the profiler's profile.bin, crash paths included. False on failure.
+bool EventLogRawWriteFile(const std::string& path, const std::string& blob);
 
 // Registers an additional dump to run on every crash path — injected
 // `crash@` exits, fatal checks, and real fatal signals — after the event

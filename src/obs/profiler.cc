@@ -1,6 +1,5 @@
 #include "src/obs/profiler.h"
 
-#include <fcntl.h>
 #include <pthread.h>
 #include <signal.h>
 #include <time.h>
@@ -18,6 +17,7 @@
 
 #include "src/obs/event_log.h"
 #include "src/obs/json.h"
+#include "src/obs/ring_pool.h"
 #include "src/support/byte_io.h"
 #include "src/support/event_hook.h"
 
@@ -46,17 +46,20 @@ struct ProfSlot {
   std::atomic<uint64_t> w3{0};  // wait_kind | tid << 32
 };
 
-// Per-thread profiler context + sample ring. Never freed: crash spills
-// read whatever the dead thread left behind.
+// Per-thread profiler context + sample ring, recycled through a RingPool:
+// never freed (crash spills read whatever a dead thread left behind), and
+// handed to the next new thread once its owner exits. A reused ring keeps
+// its `next`/`harvested` cursors, so samples the dead thread left
+// unharvested are still counted.
 struct ThreadProf {
   explicit ThreadProf(uint32_t tid) : slots(kRingSlots), tid(tid) {}
   std::atomic<uint32_t> phase{0};
   std::atomic<uint32_t> checker{0};
   std::atomic<uint64_t> pair{kProfileNoPair};
   std::atomic<uint32_t> wait{0};
-  // Cleared (under the registry mutex) by the owning thread's TLS guard
-  // just before thread exit, so the ticker never pthread_kills a stale
-  // pthread_t.
+  // Set for the owning thread when it takes the ring, cleared when it
+  // exits; both under the registry mutex, which the ticker holds while it
+  // signals, so it never pthread_kills a stale pthread_t.
   std::atomic<bool> alive{true};
   pthread_t self{};
   std::vector<ProfSlot> slots;
@@ -71,7 +74,7 @@ using LedgerKey = std::tuple<uint32_t, uint32_t, uint64_t, uint32_t>;
 
 struct ProfState {
   std::mutex mu;
-  std::vector<ThreadProf*> threads;
+  RingPool<ThreadProf> threads;
   std::map<LedgerKey, uint64_t> ledger;
   uint64_t total_samples = 0;
   uint64_t dropped_samples = 0;
@@ -94,16 +97,24 @@ ProfState& State() {
 std::atomic<bool> g_ever_started{false};
 
 thread_local ThreadProf* t_prof = nullptr;
+// Set once the thread's context went back to the pool at thread exit;
+// markers run later (by other thread-local destructors) record nothing.
+thread_local bool t_prof_released = false;
 
-// Marks the context dead at thread exit, under the registry mutex so the
-// ticker (which holds it while signalling) cannot race the exit.
+// Marks the context dead and parks it at thread exit, under the registry
+// mutex so the ticker (which holds it while signalling) cannot race the
+// exit. t_prof is cleared first, so a late SIGPROF on this thread writes
+// nothing into a ring another thread may take next.
 struct ThreadProfGuard {
   ThreadProf* tp = nullptr;
   ~ThreadProfGuard() {
     if (tp != nullptr) {
       ProfState& state = State();
       std::lock_guard<std::mutex> lock(state.mu);
+      t_prof = nullptr;
+      t_prof_released = true;
       tp->alive.store(false, std::memory_order_relaxed);
+      state.threads.Release(tp);
     }
   }
 };
@@ -117,16 +128,23 @@ uint64_t MonotonicNs() {
   return static_cast<uint64_t>(ts.tv_sec) * 1000000000ull + static_cast<uint64_t>(ts.tv_nsec);
 }
 
+// Nullptr once the thread's context has been released at thread exit.
 ThreadProf* EnsureThreadProf() {
   ThreadProf* tp = t_prof;
-  if (tp != nullptr) {
+  if (tp != nullptr || t_prof_released) {
     return tp;
   }
   ProfState& state = State();
   std::lock_guard<std::mutex> lock(state.mu);
-  tp = new ThreadProf(static_cast<uint32_t>(state.threads.size()));
+  tp = state.threads.Acquire(
+      [](const ThreadProf&) { return true; },
+      [](size_t index) { return new ThreadProf(static_cast<uint32_t>(index)); });
+  tp->phase.store(0, std::memory_order_relaxed);
+  tp->checker.store(0, std::memory_order_relaxed);
+  tp->pair.store(kProfileNoPair, std::memory_order_relaxed);
+  tp->wait.store(evt::kWaitNone, std::memory_order_relaxed);
   tp->self = pthread_self();
-  state.threads.push_back(tp);
+  tp->alive.store(true, std::memory_order_relaxed);
   t_prof = tp;
   t_guard.tp = tp;
   return tp;
@@ -165,7 +183,9 @@ void SigprofHandler(int /*sig*/) {
 void ProfObserver(uint16_t type, uint32_t /*a0*/, uint64_t a1, uint64_t /*a2*/) {
   switch (type) {
     case evt::kWaitBegin:
-      EnsureThreadProf()->wait.store(static_cast<uint32_t>(a1), std::memory_order_relaxed);
+      if (ThreadProf* tp = EnsureThreadProf()) {
+        tp->wait.store(static_cast<uint32_t>(a1), std::memory_order_relaxed);
+      }
       break;
     case evt::kWaitEnd: {
       ThreadProf* tp = t_prof;
@@ -175,7 +195,9 @@ void ProfObserver(uint16_t type, uint32_t /*a0*/, uint64_t a1, uint64_t /*a2*/) 
       break;
     }
     case evt::kArbiterWait:
-      EnsureThreadProf()->wait.store(evt::kWaitArbiter, std::memory_order_relaxed);
+      if (ThreadProf* tp = EnsureThreadProf()) {
+        tp->wait.store(evt::kWaitArbiter, std::memory_order_relaxed);
+      }
       break;
     case evt::kArbiterAcquire: {
       ThreadProf* tp = t_prof;
@@ -193,7 +215,7 @@ void ProfObserver(uint16_t type, uint32_t /*a0*/, uint64_t a1, uint64_t /*a2*/) 
 // state.mu. Slots the handler overwrote before we got to them (ticker
 // stalled for > kRingSlots / hz) and slots torn mid-write count as dropped.
 void HarvestLocked(ProfState& state) {
-  for (ThreadProf* tp : state.threads) {
+  for (ThreadProf* tp : state.threads.all()) {
     uint64_t n = tp->next.load(std::memory_order_acquire);
     uint64_t cursor = tp->harvested;
     if (n - cursor > kRingSlots) {
@@ -256,7 +278,7 @@ void TickerMain() {
     // Holding mu here is what makes the pthread_kill safe: a thread's TLS
     // guard must take mu to mark itself dead, so no pthread_t we signal
     // can belong to an already-exited thread.
-    for (ThreadProf* tp : state.threads) {
+    for (ThreadProf* tp : state.threads.all()) {
       if (tp->alive.load(std::memory_order_relaxed)) {
         pthread_kill(tp->self, SIGPROF);
       }
@@ -266,99 +288,37 @@ void TickerMain() {
   HarvestLocked(state);
 }
 
-// FNV-1a over the payload, the checkpoint codec's checksum discipline.
-uint64_t Fnv1a64(const std::string& bytes) {
-  uint64_t hash = 14695981039346656037ull;
-  for (unsigned char c : bytes) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
 constexpr char kProfileMagic[4] = {'G', 'P', 'R', 'F'};
 constexpr uint32_t kProfileVersion = 1;
-
-void AppendU32(std::string* out, uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
-}
-
-uint32_t TakeU32(const uint8_t* data) {
-  uint32_t value = 0;
-  for (int i = 3; i >= 0; --i) {
-    value = (value << 8) | data[i];
-  }
-  return value;
-}
-
-uint64_t TakeU64(const uint8_t* data) {
-  uint64_t value = 0;
-  for (int i = 7; i >= 0; --i) {
-    value = (value << 8) | data[i];
-  }
-  return value;
-}
 
 std::string EncodeProfile(const ProfileData& data) {
   std::string payload;
   payload.reserve(36 + data.entries.size() * 28);
-  AppendU64(&payload, data.sample_period_ns);
-  AppendU64(&payload, data.total_samples);
-  AppendU64(&payload, data.dropped_samples);
-  AppendU64(&payload, data.wall_ns);
-  AppendU32(&payload, static_cast<uint32_t>(data.entries.size()));
+  PutFixed64(&payload, data.sample_period_ns);
+  PutFixed64(&payload, data.total_samples);
+  PutFixed64(&payload, data.dropped_samples);
+  PutFixed64(&payload, data.wall_ns);
+  PutFixed32(&payload, static_cast<uint32_t>(data.entries.size()));
   for (const ProfileEntry& entry : data.entries) {
-    AppendU32(&payload, entry.checker);
-    AppendU32(&payload, entry.phase);
-    AppendU64(&payload, entry.pair);
-    AppendU32(&payload, entry.wait_kind);
-    AppendU64(&payload, entry.samples);
+    PutFixed32(&payload, entry.checker);
+    PutFixed32(&payload, entry.phase);
+    PutFixed64(&payload, entry.pair);
+    PutFixed32(&payload, entry.wait_kind);
+    PutFixed64(&payload, entry.samples);
   }
-  AppendU32(&payload, static_cast<uint32_t>(data.strings.size()));
+  PutFixed32(&payload, static_cast<uint32_t>(data.strings.size()));
   for (const std::string& s : data.strings) {
-    AppendU32(&payload, static_cast<uint32_t>(s.size()));
+    PutFixed32(&payload, static_cast<uint32_t>(s.size()));
     payload.append(s);
   }
   std::string blob;
   blob.reserve(16 + payload.size() + 8);
   blob.append(kProfileMagic, sizeof(kProfileMagic));
-  AppendU32(&blob, kProfileVersion);
-  AppendU64(&blob, payload.size());
+  PutFixed32(&blob, kProfileVersion);
+  PutFixed64(&blob, payload.size());
   blob.append(payload);
-  AppendU64(&blob, Fnv1a64(payload));
+  PutFixed64(&blob, Fnv1a64(payload.data(), payload.size()));
   return blob;
-}
-
-// Raw syscalls: shared by the normal write (below, via tmp + rename) and
-// the crash spiller, which must not re-enter byte_io's fault shim.
-bool RawWriteFile(const std::string& path, const std::string& blob) {
-  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    return false;
-  }
-  size_t done = 0;
-  while (done < blob.size()) {
-    ssize_t n = ::write(fd, blob.data() + done, blob.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      ::close(fd);
-      return false;
-    }
-    done += static_cast<size_t>(n);
-  }
-  ::fsync(fd);
-  ::close(fd);
-  return true;
 }
 
 // Crash spiller, registered with the event log's fatal paths: refuses to
@@ -379,7 +339,7 @@ void ProfilerCrashSpill() {
   // Best-effort string table: an empty snapshot (table lock contended)
   // still decodes, ids just resolve to "".
   EventLogStringsSnapshot(&data.strings, /*try_only=*/true);
-  RawWriteFile(path, EncodeProfile(data));
+  EventLogRawWriteFile(path, EncodeProfile(data));
 }
 
 std::string ResolveId(const ProfileData& data, uint32_t id) {
@@ -532,6 +492,12 @@ bool ProfilerRunning() {
   return state.running;
 }
 
+size_t ProfilerRingCount() {
+  auto& state = profiler_internal::State();
+  std::lock_guard<std::mutex> lock(state.mu);
+  return state.threads.all().size();
+}
+
 void ProfilerSetDumpPath(const std::string& path, bool only_if_unset) {
   auto& state = profiler_internal::State();
   std::lock_guard<std::mutex> lock(state.mu);
@@ -562,7 +528,7 @@ ProfileData ProfilerSnapshot() {
 void ProfilerResetForTest() {
   auto& state = profiler_internal::State();
   std::lock_guard<std::mutex> lock(state.mu);
-  for (ThreadProf* tp : state.threads) {
+  for (ThreadProf* tp : state.threads.all()) {
     tp->harvested = tp->next.load(std::memory_order_acquire);
   }
   state.ledger.clear();
@@ -577,7 +543,7 @@ void ProfilerResetForTest() {
 bool ProfilerWriteFile(const std::string& path) {
   std::string blob = profiler_internal::EncodeProfile(ProfilerSnapshot());
   std::string tmp = path + ".tmp";
-  if (!profiler_internal::RawWriteFile(tmp, blob)) {
+  if (!EventLogRawWriteFile(tmp, blob)) {
     return false;
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
@@ -603,29 +569,30 @@ bool DecodeProfile(const std::string& path, ProfileData* out, std::string* error
       std::memcmp(bytes.data(), profiler_internal::kProfileMagic, 4) != 0) {
     return fail("bad magic (not a profile)");
   }
-  uint32_t version = profiler_internal::TakeU32(bytes.data() + 4);
+  uint32_t version = DecodeFixed32(bytes.data() + 4);
   if (version != profiler_internal::kProfileVersion) {
     return fail("unsupported version " + std::to_string(version));
   }
-  uint64_t payload_len = profiler_internal::TakeU64(bytes.data() + 8);
-  if (bytes.size() < 16 + payload_len + 8) {
+  uint64_t payload_len = DecodeFixed64(bytes.data() + 8);
+  // Compared without adding to payload_len, which comes from the file.
+  if (bytes.size() < 24 || payload_len > bytes.size() - 24) {
     return fail("truncated payload");
   }
   std::string payload(reinterpret_cast<const char*>(bytes.data() + 16),
                       static_cast<size_t>(payload_len));
-  uint64_t stored = profiler_internal::TakeU64(bytes.data() + 16 + payload_len);
-  if (profiler_internal::Fnv1a64(payload) != stored) {
+  uint64_t stored = DecodeFixed64(bytes.data() + 16 + payload_len);
+  if (Fnv1a64(payload.data(), payload.size()) != stored) {
     return fail("checksum mismatch");
   }
   const uint8_t* p = bytes.data() + 16;
   if (payload_len < 36) {
     return fail("truncated header");
   }
-  out->sample_period_ns = profiler_internal::TakeU64(p);
-  out->total_samples = profiler_internal::TakeU64(p + 8);
-  out->dropped_samples = profiler_internal::TakeU64(p + 16);
-  out->wall_ns = profiler_internal::TakeU64(p + 24);
-  uint32_t entry_count = profiler_internal::TakeU32(p + 32);
+  out->sample_period_ns = DecodeFixed64(p);
+  out->total_samples = DecodeFixed64(p + 8);
+  out->dropped_samples = DecodeFixed64(p + 16);
+  out->wall_ns = DecodeFixed64(p + 24);
+  uint32_t entry_count = DecodeFixed32(p + 32);
   size_t offset = 36;
   if (payload_len < offset + static_cast<uint64_t>(entry_count) * 28) {
     return fail("truncated entry section");
@@ -635,18 +602,18 @@ bool DecodeProfile(const std::string& path, ProfileData* out, std::string* error
   for (uint32_t i = 0; i < entry_count; ++i) {
     const uint8_t* rec = p + offset;
     ProfileEntry entry;
-    entry.checker = profiler_internal::TakeU32(rec);
-    entry.phase = profiler_internal::TakeU32(rec + 4);
-    entry.pair = profiler_internal::TakeU64(rec + 8);
-    entry.wait_kind = profiler_internal::TakeU32(rec + 16);
-    entry.samples = profiler_internal::TakeU64(rec + 20);
+    entry.checker = DecodeFixed32(rec);
+    entry.phase = DecodeFixed32(rec + 4);
+    entry.pair = DecodeFixed64(rec + 8);
+    entry.wait_kind = DecodeFixed32(rec + 16);
+    entry.samples = DecodeFixed64(rec + 20);
     out->entries.push_back(entry);
     offset += 28;
   }
   if (payload_len < offset + 4) {
     return fail("truncated string table");
   }
-  uint32_t string_count = profiler_internal::TakeU32(p + offset);
+  uint32_t string_count = DecodeFixed32(p + offset);
   offset += 4;
   out->strings.clear();
   out->strings.reserve(string_count);
@@ -654,7 +621,7 @@ bool DecodeProfile(const std::string& path, ProfileData* out, std::string* error
     if (payload_len < offset + 4) {
       return fail("truncated string table entry");
     }
-    uint32_t length = profiler_internal::TakeU32(p + offset);
+    uint32_t length = DecodeFixed32(p + offset);
     offset += 4;
     if (payload_len < offset + length) {
       return fail("truncated string table entry");

@@ -31,6 +31,7 @@
 #ifndef GRAPPLE_SRC_OBS_PROFILER_H_
 #define GRAPPLE_SRC_OBS_PROFILER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -126,6 +127,10 @@ bool ProfilerStart(uint32_t hz);
 // and thread registrations survive for later snapshots and restarts.
 void ProfilerStop();
 bool ProfilerRunning();
+// Per-thread sample rings made so far, parked ones included. A new thread
+// takes a parked ring before one is made, so this follows the peak number
+// of live registered threads.
+size_t ProfilerRingCount();
 
 // Where crash paths (and the Grapple facade) persist the ledger. Empty
 // disables the crash spill. `only_if_unset` mirrors

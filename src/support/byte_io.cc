@@ -34,17 +34,35 @@ void PutVarintSigned64(std::vector<uint8_t>* out, int64_t value) {
   PutVarint64(out, zigzag);
 }
 
-void PutFixed32(std::vector<uint8_t>* out, uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(value >> (8 * i)));
+namespace {
+
+template <typename Bytes>
+void PutLittleEndian(Bytes* out, uint64_t value, int width) {
+  for (int i = 0; i < width; ++i) {
+    out->push_back(static_cast<typename Bytes::value_type>(value >> (8 * i)));
   }
 }
 
-void PutFixed64(std::vector<uint8_t>* out, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(value >> (8 * i)));
+uint64_t GetLittleEndian(const uint8_t* data, int width) {
+  uint64_t value = 0;
+  for (int i = 0; i < width; ++i) {
+    value |= static_cast<uint64_t>(data[i]) << (8 * i);
   }
+  return value;
 }
+
+}  // namespace
+
+void PutFixed32(std::vector<uint8_t>* out, uint32_t value) { PutLittleEndian(out, value, 4); }
+void PutFixed64(std::vector<uint8_t>* out, uint64_t value) { PutLittleEndian(out, value, 8); }
+void PutFixed32(std::string* out, uint32_t value) { PutLittleEndian(out, value, 4); }
+void PutFixed64(std::string* out, uint64_t value) { PutLittleEndian(out, value, 8); }
+
+uint32_t DecodeFixed32(const uint8_t* data) {
+  return static_cast<uint32_t>(GetLittleEndian(data, 4));
+}
+
+uint64_t DecodeFixed64(const uint8_t* data) { return GetLittleEndian(data, 8); }
 
 uint64_t ByteReader::GetVarint64() {
   uint64_t result = 0;
@@ -74,10 +92,7 @@ uint32_t ByteReader::GetFixed32() {
     ok_ = false;
     return 0;
   }
-  uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<uint32_t>(data_[pos_ + i]) << (8 * i);
-  }
+  uint32_t value = DecodeFixed32(data_ + pos_);
   pos_ += 4;
   return value;
 }
@@ -87,10 +102,7 @@ uint64_t ByteReader::GetFixed64() {
     ok_ = false;
     return 0;
   }
-  uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
-  }
+  uint64_t value = DecodeFixed64(data_ + pos_);
   pos_ += 8;
   return value;
 }

@@ -53,6 +53,30 @@ void PutVarintSigned64(std::vector<uint8_t>* out, int64_t value);
 // Appends a fixed-width little-endian u32/u64.
 void PutFixed32(std::vector<uint8_t>* out, uint32_t value);
 void PutFixed64(std::vector<uint8_t>* out, uint64_t value);
+void PutFixed32(std::string* out, uint32_t value);
+void PutFixed64(std::string* out, uint64_t value);
+
+// Reads a fixed-width little-endian u32/u64 from `data`, which the caller
+// has bounds-checked.
+uint32_t DecodeFixed32(const uint8_t* data);
+uint64_t DecodeFixed64(const uint8_t* data);
+
+// FNV-1a 64 over `size` bytes, starting from `seed`. kFnv1a64Basis is the
+// standard offset basis (partition blocks, GPRF profiles). The checkpoint
+// manifest and the task runtime's strand hash have always started from
+// kFnv1a64ShortBasis, the standard basis missing its last digit; it stays
+// so manifests and strand homes are unchanged.
+inline constexpr uint64_t kFnv1a64Basis = 14695981039346656037ULL;
+inline constexpr uint64_t kFnv1a64ShortBasis = 1469598103934665603ULL;
+// Inline: edge dedup hashes every join candidate through it.
+inline uint64_t Fnv1a64(const void* data, size_t size, uint64_t seed = kFnv1a64Basis) {
+  const uint8_t* bytes = static_cast<const uint8_t*>(data);
+  uint64_t hash = seed;
+  for (size_t i = 0; i < size; ++i) {
+    hash = (hash ^ bytes[i]) * 0x100000001b3ULL;
+  }
+  return hash;
+}
 
 // Sequential reader over a byte span. All Get* methods check bounds and
 // report failure via ok(); after a failed read the cursor is poisoned.

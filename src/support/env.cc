@@ -63,8 +63,6 @@ size_t ResolveThreadCount(size_t requested) {
   return requested == 0 ? HardwareThreads() : requested;
 }
 
-bool ResolveIoPipeline(bool requested) { return EnvBool("GRAPPLE_IO_PIPELINE", requested); }
-
 uint32_t ResolveCheckpointInterval(uint32_t requested) {
   int64_t forced = EnvInt64("GRAPPLE_CHECKPOINT_INTERVAL", 0);
   if (forced > 0) {

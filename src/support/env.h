@@ -24,20 +24,6 @@
 //                            resolve(checker_parallelism) x
 //                            resolve(num_threads) + 1, so this knob scales
 //                            the per-checker factor only (DESIGN.md §14)
-//   GRAPPLE_STEAL            locality|always|pinned: overrides the task
-//                            runtime's steal policy
-//                            (GrappleOptions::Scheduling::steal_policy)
-//                            outright. "pinned" disables stealing and
-//                            reproduces the legacy two-pool execution for
-//                            A/B timing; results are byte-identical under
-//                            every policy; see ResolveStealPolicy in
-//                            support/task_runtime.h
-//   GRAPPLE_IO_PIPELINE      on|off: overrides the pipelined-partition-I/O
-//                            option (EngineOptions.io_pipeline) outright at
-//                            the point the store is built; results are
-//                            byte-identical either way — the knob exists for
-//                            A/B timing and for disabling the background I/O
-//                            thread; see ResolveIoPipeline
 //   GRAPPLE_CHECKPOINT       on|off: overrides whether crash-safe
 //                            checkpointing is enabled (DESIGN.md §11). "on"
 //                            with no interval configured selects the default
@@ -125,10 +111,6 @@ size_t HardwareThreads();
 // Resolves a worker-thread-count option: GRAPPLE_THREADS (positive integer)
 // overrides `requested` outright; otherwise 0 selects HardwareThreads().
 size_t ResolveThreadCount(size_t requested);
-
-// Resolves the pipelined-I/O option: GRAPPLE_IO_PIPELINE (on/off) overrides
-// `requested` outright when set.
-bool ResolveIoPipeline(bool requested);
 
 // Resolves the checkpoint cadence (0 = disabled):
 // GRAPPLE_CHECKPOINT_INTERVAL (positive integer) overrides `requested`

@@ -94,6 +94,24 @@ size_t ParseContentLength(const std::string& headers) {
 
 }  // namespace
 
+bool ParsePort(const char* text, int* port) {
+  int value = 0;
+  if (*text == '\0') {
+    return false;
+  }
+  for (const char* p = text; *p != '\0'; ++p) {
+    if (*p < '0' || *p > '9') {
+      return false;
+    }
+    value = value * 10 + (*p - '0');
+    if (value > 65535) {
+      return false;
+    }
+  }
+  *port = value;
+  return true;
+}
+
 SocketServer::~SocketServer() { Stop(); }
 
 bool SocketServer::Start(int port, Handler handler, std::string* error, size_t handler_threads) {

@@ -38,6 +38,11 @@
 
 namespace grapple {
 
+// Parses a --port flag value strictly: decimal digits only (no sign,
+// whitespace or trailing characters) with a value in [0, 65535]; 0 is the
+// explicit ephemeral request. False on anything else, leaving *port as is.
+bool ParsePort(const char* text, int* port);
+
 struct HttpRequest {
   std::string method;  // "GET", "POST", ...
   std::string path;    // "/statusz" (no query string)

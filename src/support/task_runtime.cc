@@ -1,8 +1,8 @@
 #include "src/support/task_runtime.h"
 
 #include <chrono>
-#include <cstdlib>
 
+#include "src/support/byte_io.h"
 #include "src/support/env.h"
 #include "src/support/event_hook.h"
 #include "src/support/timer.h"
@@ -10,14 +10,10 @@
 namespace grapple {
 namespace {
 
-// FNV-1a over the strand key: strands with the same key must map to the
-// same home worker so per-key FIFO order survives pinned-mode scheduling.
+// FNV-1a over the strand key: every pump of one strand is homed on the
+// same worker, so a file's I/O keeps its locality.
 uint64_t HashKey(const std::string& key) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
+  uint64_t h = Fnv1a64(key.data(), key.size(), kFnv1a64ShortBasis);
   return h == 0 ? 1 : h;  // 0 means "no affinity"
 }
 
@@ -36,34 +32,8 @@ const char* StealPolicyName(StealPolicy policy) {
       return "locality";
     case StealPolicy::kAlways:
       return "always";
-    case StealPolicy::kPinned:
-      return "pinned";
   }
   return "unknown";
-}
-
-bool ParseStealPolicy(const std::string& text, StealPolicy* out) {
-  if (text == "locality") {
-    *out = StealPolicy::kLocalityAware;
-  } else if (text == "always") {
-    *out = StealPolicy::kAlways;
-  } else if (text == "pinned") {
-    *out = StealPolicy::kPinned;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-StealPolicy ResolveStealPolicy(StealPolicy requested) {
-  const char* env = std::getenv("GRAPPLE_STEAL");
-  if (env != nullptr && *env != '\0') {
-    StealPolicy parsed;
-    if (ParseStealPolicy(env, &parsed)) {
-      return parsed;
-    }
-  }
-  return requested;
 }
 
 void TaskGroup::Submit(TaskLane lane, uint64_t affinity, std::function<void()> fn) {
@@ -182,7 +152,7 @@ void TaskRuntime::WakeOne(size_t home) {
     std::lock_guard<std::mutex> lock(sleep_mu_);
     if (workers_[home]->sleeping) {
       target = workers_[home].get();
-    } else if (options_.steal_policy != StealPolicy::kPinned) {
+    } else {
       for (auto& worker : workers_) {
         if (worker->sleeping) {
           target = worker.get();
@@ -190,10 +160,6 @@ void TaskRuntime::WakeOne(size_t home) {
         }
       }
     }
-    // Under kPinned only the home worker can run the task; everyone else
-    // would scan, take nothing, and park again. If home is awake it will
-    // rescan before parking (unclaimed_ is already published), so not
-    // waking anyone here is never a lost wakeup.
     if (target != nullptr) {
       // Clear the flag on the waker's side so a second Enqueue racing in
       // picks a different sleeper instead of double-notifying this one.
@@ -218,32 +184,16 @@ void TaskRuntime::WorkerLoop(size_t self) {
         queued_.load(std::memory_order_acquire) == 0) {
       return;
     }
-    // Recheck for work this thread can actually reach before parking — a
-    // push may have landed between the failed scan and taking sleep_mu_,
-    // and its targeted wake may already have fired. Under kPinned only the
-    // own deque counts (a global check would busy-spin on other workers'
-    // unstealable backlogs); sleep_mu_ orders this against WakeOne, so a
-    // push is either seen here or finds `sleeping` set and notifies.
-    bool reachable;
-    if (options_.steal_policy == StealPolicy::kPinned) {
-      std::lock_guard<std::mutex> deque_lock(me.mu);
-      reachable = false;
-      for (const auto& lane : me.lanes) {
-        if (!lane.empty()) {
-          reachable = true;
-          break;
-        }
-      }
-    } else {
-      reachable = unclaimed_.load(std::memory_order_acquire) > 0;
-    }
-    if (reachable) {
+    // Recheck for work before parking — a push may have landed between the
+    // failed scan and taking sleep_mu_, and its targeted wake may already
+    // have fired. Every worker can steal every task, so any unclaimed task
+    // is reachable; sleep_mu_ orders this against WakeOne, so a push is
+    // either seen here or finds `sleeping` set and notifies.
+    if (unclaimed_.load(std::memory_order_acquire) > 0) {
       continue;
     }
     me.sleeping = true;
-    // Timed wait as a backstop: in pinned mode another worker's backlog is
-    // not stealable, so this worker may sleep while queued_ > 0; the
-    // timeout also re-checks shutdown.
+    // Timed wait as a backstop that also re-checks shutdown.
     me.wake_cv.wait_for(lock, std::chrono::milliseconds(10));
     me.sleeping = false;
   }
@@ -282,8 +232,6 @@ bool TaskRuntime::PopLocal(size_t self, Task* out) {
 
 bool TaskRuntime::Steal(size_t self, Task* out) {
   switch (options_.steal_policy) {
-    case StealPolicy::kPinned:
-      return false;
     case StealPolicy::kAlways:
       return StealScan(self, /*locality_pass=*/false, out);
     case StealPolicy::kLocalityAware:

@@ -15,13 +15,11 @@
 //     solve work preempts prefetch which preempts write-behind — but lower
 //     lanes are never starved (a worker with only write-behind work runs
 //     write-behind work).
-//   * Stealing is policy-controlled. kLocalityAware (default) prefers
-//     tasks without a locality hint, or hinted to the thief itself, and
+//   * Idle workers always steal; the policy only picks what they take.
+//     kLocalityAware (default) prefers tasks without a locality hint, and
 //     takes somebody else's hinted work only when nothing better exists —
 //     a stolen pair-affine task wastes the Hint() prefetch its home worker
 //     issued. kAlways steals the first runnable task (stress/testing).
-//     kPinned never steals: tasks run only on their home worker, which
-//     reproduces the legacy two-pool execution for A/B benchmarking.
 //   * Waits help-execute. TaskGroup::Wait() runs the group's own unclaimed
 //     tasks inline and WaitSerial() pumps the awaited strand inline, so a
 //     blocked caller — even a checker task occupying the last worker —
@@ -67,16 +65,10 @@ inline constexpr size_t kNumTaskLanes = 3;
 enum class StealPolicy : uint8_t {
   kLocalityAware = 0,  // default: respect affinity hints when stealing
   kAlways = 1,         // steal anything runnable (contention stress)
-  kPinned = 2,         // never steal: legacy two-pool-equivalent mode
 };
 
-// "locality", "always", or "pinned".
+// "locality" or "always".
 const char* StealPolicyName(StealPolicy policy);
-// Parses the names above (case-sensitive). False on anything else.
-bool ParseStealPolicy(const std::string& text, StealPolicy* out);
-// GRAPPLE_STEAL, when set to a valid policy name, overrides `requested`
-// outright (same contract as ResolveThreadCount / GRAPPLE_THREADS).
-StealPolicy ResolveStealPolicy(StealPolicy requested);
 
 struct TaskRuntimeOptions {
   // Worker threads. 0 = hardware concurrency. Callers resolve env
@@ -198,6 +190,7 @@ class TaskRuntime {
   // Pops the next task from `self`'s own deques honoring lane weights.
   bool PopLocal(size_t self, Task* out);
   // Steal pass per the configured policy. False when nothing was taken.
+  // Pass 1 of kLocalityAware (`locality_pass`) takes only unhinted tasks.
   bool Steal(size_t self, Task* out);
   bool StealScan(size_t self, bool locality_pass, Task* out);
   // Finds and removes an unclaimed task of `group` from any deque.
@@ -209,9 +202,8 @@ class TaskRuntime {
   // false). Used by both the worker pump and WaitSerial.
   void PumpStrand(const std::string& key, bool from_worker);
 
-  // Wakes one sleeping worker able to reach a task homed at `home` (the
-  // home worker itself under kPinned; any sleeper otherwise, preferring
-  // home). No-op when every worker is awake — they rescan before parking.
+  // Wakes one sleeping worker for a task homed at `home`, preferring home.
+  // No-op when every worker is awake — they rescan before parking.
   void WakeOne(size_t home);
 
   TaskRuntimeOptions options_;

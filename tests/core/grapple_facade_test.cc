@@ -109,6 +109,16 @@ TEST(GrappleFacadeTest, ConstructorDiesOnInvalidOptions) {
   EXPECT_DEATH(Grapple(MustParse(kSmall), options), "invalid GrappleOptions.*loop_unroll");
 }
 
+TEST(GrappleFacadeTest, ValidateRejectsRetiredSynchronousIo) {
+  GrappleOptions options;
+  options.engine.io_pipeline = false;
+  std::vector<std::string> errors = options.Validate();
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors[0].find("engine.io_pipeline"), std::string::npos) << errors[0];
+  EXPECT_NE(errors[0].find("retired: partition I/O is always pipelined"), std::string::npos)
+      << errors[0];
+}
+
 TEST(GrappleFacadeTest, SchedulingOptionsValidate) {
   // Both knobs at 0 would multiply to hardware-concurrency squared workers.
   GrappleOptions both_zero;

@@ -332,9 +332,8 @@ class StoreFailureTest : public ::testing::Test {
 
 TEST_F(StoreFailureTest, BackgroundWriteFailureSurfacesAtSync) {
   TempDir dir("store-bgfail");
-  PartitionStorePipeline pipeline;
-  pipeline.enabled = true;
-  PartitionStore store(dir.path(), nullptr, pipeline);
+  TaskRuntime runtime(TaskRuntimeOptions{1});
+  PartitionStore store(dir.path(), runtime);
   store.Initialize(SomeEdges(32), 40, 1 << 20);
   ASSERT_EQ(store.NumPartitions(), 1u);
   // Every write to a partition file now fails hard; the worker must record
@@ -354,9 +353,8 @@ TEST_F(StoreFailureTest, BackgroundWriteFailureSurfacesAtSync) {
 
 TEST_F(StoreFailureTest, BackgroundWriteFailureSurfacesAtLoad) {
   TempDir dir("store-bgfail-load");
-  PartitionStorePipeline pipeline;
-  pipeline.enabled = true;
-  PartitionStore store(dir.path(), nullptr, pipeline);
+  TaskRuntime runtime(TaskRuntimeOptions{1});
+  PartitionStore store(dir.path(), runtime);
   store.Initialize(SomeEdges(32), 40, 1 << 20);
   ASSERT_TRUE(fault::Configure("fail@write#1+:path=part-"));
   store.Rewrite(0, SomeEdges(16));

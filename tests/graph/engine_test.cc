@@ -88,6 +88,17 @@ TEST_F(EngineTest, TransitiveClosureChain) {
   EXPECT_EQ(engine.stats().base_edges, 3u + 3u);  // edge + derived path labels
 }
 
+// Partition I/O is always pipelined; a caller that bypasses the facade's
+// Validate() and asks for the retired synchronous mode is stopped.
+TEST_F(EngineTest, RetiredSynchronousIoIsRefused) {
+  TempDir dir("engine-sync-io");
+  IntervalOracle oracle(&icfet_);
+  EngineOptions options;
+  options.work_dir = dir.path();
+  options.io_pipeline = false;
+  EXPECT_DEATH(GraphEngine(&grammar_, &oracle, options), "io_pipeline = false is retired");
+}
+
 TEST_F(EngineTest, UnsatisfiableCompositionIsPruned) {
   TempDir dir("engine-unsat");
   IntervalOracle oracle(&icfet_);

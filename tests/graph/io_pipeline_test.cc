@@ -1,10 +1,11 @@
-// Pipelined partition I/O: block codec round trips, legacy read-back,
-// prefetch/write-behind semantics, and — the load-bearing guarantee —
-// byte-identical results with the pipeline on and off.
+// Pipelined partition I/O: block codec round trips, the store against an
+// in-memory model, prefetch/write-behind semantics, and — the load-bearing
+// guarantee — identical results whether the closure spills or stays in
+// memory.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <set>
+#include <algorithm>
+#include <tuple>
 
 #include "src/cfg/call_graph.h"
 #include "src/cfg/loop_unroll.h"
@@ -44,10 +45,12 @@ bool SameEdges(const std::vector<EdgeRecord>& a, const std::vector<EdgeRecord>& 
   return true;
 }
 
-// The options knob must not be silently overridden by the environment.
+// Standalone stores run their strands on a 1-worker runtime.
 class IoPipelineTest : public ::testing::Test {
  protected:
-  IoPipelineTest() { unsetenv("GRAPPLE_IO_PIPELINE"); }
+  IoPipelineTest() : runtime_(TaskRuntimeOptions{1}) {}
+
+  TaskRuntime runtime_;
 };
 
 TEST_F(IoPipelineTest, BlockCodecRoundTrip) {
@@ -59,10 +62,8 @@ TEST_F(IoPipelineTest, BlockCodecRoundTrip) {
   }
   std::vector<uint8_t> file;
   AppendBlockFileHeader(&file);
-  uint64_t raw_bytes = 0;
-  AppendEdgeBlock(edges, &file, &raw_bytes);
-  EXPECT_EQ(raw_bytes, RawFormatBytes(edges));
-  EXPECT_LT(file.size(), raw_bytes);  // dedup + deltas must actually shrink
+  AppendEdgeBlock(edges, &file);
+  EXPECT_LT(file.size(), RawFormatBytes(edges));  // dedup + deltas must actually shrink
   ASSERT_TRUE(HasBlockFileHeader(file));
 
   std::vector<EdgeRecord> decoded;
@@ -78,8 +79,8 @@ TEST_F(IoPipelineTest, BlockCodecPreservesUnsortedOrderAndMultipleBlocks) {
   std::vector<EdgeRecord> second = {MakeEdge(1, 9, 3, 12), MakeEdge(0, 0, 1)};
   std::vector<uint8_t> file;
   AppendBlockFileHeader(&file);
-  AppendEdgeBlock(first, &file, nullptr);
-  AppendEdgeBlock(second, &file, nullptr);
+  AppendEdgeBlock(first, &file);
+  AppendEdgeBlock(second, &file);
 
   std::vector<EdgeRecord> expected = first;
   expected.insert(expected.end(), second.begin(), second.end());
@@ -89,91 +90,132 @@ TEST_F(IoPipelineTest, BlockCodecPreservesUnsortedOrderAndMultipleBlocks) {
   EXPECT_TRUE(SameEdges(expected, decoded));
 }
 
-TEST_F(IoPipelineTest, LegacyRawFormatReadsBackTransparently) {
-  std::vector<EdgeRecord> edges = {MakeEdge(0, 1, 1), MakeEdge(5, 2, 3, 0), MakeEdge(5, 9, 2)};
-  std::vector<uint8_t> raw;
-  for (const auto& edge : edges) {
-    SerializeEdge(edge, &raw);
-  }
-  std::vector<EdgeRecord> decoded;
-  PartitionDecodeStatus status = DecodePartitionBytes("legacy.edges", raw, &decoded);
-  ASSERT_TRUE(status.ok) << status.error;
-  EXPECT_TRUE(SameEdges(edges, decoded));
+// The size model partitions are charged by: per edge, the varint lengths of
+// src, dst, label and payload length, plus the payload bytes. Partition cuts
+// and splits follow it, so its values are pinned.
+TEST_F(IoPipelineTest, RawFormatBytesIsTheVarintSizeModel) {
+  EXPECT_EQ(RawFormatBytes({}), 0u);
+  EXPECT_EQ(RawFormatBytes({MakeEdge(1, 2, 3, 4)}), 1u + 1 + 1 + 1 + 4);
+  EXPECT_EQ(RawFormatBytes({MakeEdge(200, 70000, 3, 0)}), 2u + 3 + 1 + 1);
+  EXPECT_EQ(RawFormatBytes({MakeEdge(1, 2, 3, 4), MakeEdge(200, 70000, 3, 130)}),
+            8u + (2 + 3 + 1 + 2 + 130));
 }
 
 TEST_F(IoPipelineTest, EmptyWriteIsHeaderOnly) {
   std::vector<uint8_t> file;
   AppendBlockFileHeader(&file);
-  AppendEdgeBlock({}, &file, nullptr);
+  AppendEdgeBlock({}, &file);
   EXPECT_EQ(file.size(), kBlockFileHeaderSize);
   std::vector<EdgeRecord> decoded;
   EXPECT_TRUE(DecodePartitionBytes("empty.edges", file, &decoded).ok);
   EXPECT_TRUE(decoded.empty());
 }
 
-// Runs the same mutation sequence against a synchronous store and a
-// pipelined one; every observable (loads, metadata, history) must agree.
-TEST_F(IoPipelineTest, PipelinedStoreMatchesSynchronousStore) {
-  TempDir sync_dir("iopipe-sync");
-  TempDir pipe_dir("iopipe-pipe");
-  PartitionStore sync_store(sync_dir.path());
-  PartitionStorePipeline pipeline;
-  pipeline.enabled = true;
-  PartitionStore pipe_store(pipe_dir.path(), nullptr, pipeline);
-  ASSERT_TRUE(pipe_store.pipeline_enabled());
-
-  auto drive = [](PartitionStore* store) {
-    std::vector<EdgeRecord> base;
-    for (VertexId v = 0; v < 80; ++v) {
-      EdgeRecord edge = MakeEdge(v, v + 1, 1, 32);
-      // Production payloads repeat heavily (widened triples, shared path
-      // encodings); mirror that so the block format's dedup applies.
-      edge.payload.assign(32, static_cast<uint8_t>(v % 3));
-      base.push_back(std::move(edge));
-    }
-    store->Initialize(base, 81, 1024);
-    store->Append(0, {MakeEdge(0, 50, 2), MakeEdge(1, 60, 2)});
-    store->Rewrite(1, {MakeEdge(store->Info(1).lo, 0, 5, 16)});
-    auto all = store->Load(0);
-    store->SplitAndRewrite(0, all, 256);
+// Drives a store through initialize, append, rewrite and split, checking
+// every observable against an in-memory model after each step: Load
+// returns the edges written, in write order; Info().bytes is the summed
+// RawFormatBytes of what was written; versions and segment histories
+// follow the model; and the files on disk decode to the same edges.
+TEST_F(IoPipelineTest, StoreMatchesInMemoryModel) {
+  struct ModelPartition {
+    std::vector<EdgeRecord> edges;
+    uint64_t version = 0;
+    std::vector<std::pair<uint64_t, uint64_t>> segments;
   };
-  drive(&sync_store);
-  drive(&pipe_store);
+  TempDir dir("iopipe-model");
+  PartitionStore store(dir.path(), runtime_);
+  std::vector<ModelPartition> model;
 
-  ASSERT_EQ(sync_store.NumPartitions(), pipe_store.NumPartitions());
-  EXPECT_EQ(sync_store.TotalEdges(), pipe_store.TotalEdges());
-  // Metadata charges raw-format bytes in both modes, so layout decisions
-  // (and the bookkeeping itself) are mode-independent.
-  EXPECT_EQ(sync_store.TotalBytes(), pipe_store.TotalBytes());
-  for (size_t p = 0; p < sync_store.NumPartitions(); ++p) {
-    EXPECT_EQ(sync_store.Info(p).lo, pipe_store.Info(p).lo);
-    EXPECT_EQ(sync_store.Info(p).hi, pipe_store.Info(p).hi);
-    EXPECT_EQ(sync_store.Info(p).bytes, pipe_store.Info(p).bytes);
-    EXPECT_EQ(sync_store.Info(p).version, pipe_store.Info(p).version);
-    EXPECT_EQ(sync_store.Info(p).segments, pipe_store.Info(p).segments);
-    EXPECT_TRUE(SameEdges(sync_store.Load(p), pipe_store.Load(p)))
-        << "partition " << p << " diverged";
+  auto owned = [&store](size_t p, const std::vector<EdgeRecord>& edges) {
+    std::vector<EdgeRecord> out;
+    for (const EdgeRecord& e : edges) {
+      if (e.src >= store.Info(p).lo && e.src < store.Info(p).hi) {
+        out.push_back(e);
+      }
+    }
+    return out;
+  };
+  auto check = [&](const char* step) {
+    ASSERT_EQ(store.NumPartitions(), model.size()) << step;
+    for (size_t p = 0; p < model.size(); ++p) {
+      const PartitionInfo& info = store.Info(p);
+      EXPECT_TRUE(SameEdges(store.Load(p), model[p].edges)) << step << ": partition " << p;
+      EXPECT_EQ(info.edges, model[p].edges.size()) << step << ": partition " << p;
+      EXPECT_EQ(info.bytes, RawFormatBytes(model[p].edges)) << step << ": partition " << p;
+      EXPECT_EQ(info.version, model[p].version) << step << ": partition " << p;
+      EXPECT_EQ(info.segments, model[p].segments) << step << ": partition " << p;
+    }
+  };
+
+  std::vector<EdgeRecord> base;
+  for (VertexId v = 0; v < 80; ++v) {
+    EdgeRecord edge = MakeEdge(v, v + 1, 1, 32);
+    // Production payloads repeat heavily (widened triples, shared path
+    // encodings); mirror that so the block format's dedup applies.
+    edge.payload.assign(32, static_cast<uint8_t>(v % 3));
+    base.push_back(std::move(edge));
   }
-  // The block format must beat the raw format where it counts: on disk.
-  pipe_store.Sync();
-  auto disk_bytes = [](const PartitionStore& store) {
-    uint64_t total = 0;
-    for (size_t p = 0; p < store.NumPartitions(); ++p) {
-      std::vector<uint8_t> bytes;
-      EXPECT_TRUE(ReadFileBytes(store.Info(p).path, &bytes));
-      total += bytes.size();
+  store.Initialize(base, 81, 1024);
+  ASSERT_GT(store.NumPartitions(), 2u);
+  for (size_t p = 0; p < store.NumPartitions(); ++p) {
+    ModelPartition part;
+    part.edges = owned(p, base);
+    part.version = 1;
+    part.segments = {{1, part.edges.size()}};
+    model.push_back(std::move(part));
+  }
+  check("initialize");
+
+  std::vector<EdgeRecord> delta = {MakeEdge(0, 50, 2), MakeEdge(1, 60, 2)};
+  store.Append(0, delta);
+  model[0].edges.insert(model[0].edges.end(), delta.begin(), delta.end());
+  model[0].segments.emplace_back(++model[0].version, model[0].edges.size());
+  check("append");
+
+  std::vector<EdgeRecord> replacement = {MakeEdge(store.Info(1).lo, 0, 5, 16)};
+  store.Rewrite(1, replacement);
+  model[1].edges = replacement;
+  model[1].segments.emplace_back(++model[1].version, 1);
+  check("rewrite");
+
+  std::vector<EdgeRecord> all = store.Load(0);
+  const ModelPartition parent = model[0];
+  size_t pieces = store.SplitAndRewrite(0, all, 256);
+  ASSERT_GT(pieces, 1u);
+  std::vector<ModelPartition> split(pieces);
+  for (size_t p = 0; p < pieces; ++p) {
+    split[p].edges = owned(p, all);
+    split[p].version = parent.version + 1;
+    for (const auto& [version, count] : parent.segments) {
+      std::vector<EdgeRecord> prefix(all.begin(), all.begin() + static_cast<ptrdiff_t>(count));
+      split[p].segments.emplace_back(version, owned(p, prefix).size());
     }
-    return total;
-  };
-  EXPECT_LT(disk_bytes(pipe_store), disk_bytes(sync_store));
+    split[p].segments.emplace_back(split[p].version, split[p].edges.size());
+  }
+  model.erase(model.begin());
+  model.insert(model.begin(), split.begin(), split.end());
+  check("split");
+
+  // What reached the disk is what the model holds, and the block format
+  // beats the raw size model where it counts: on disk.
+  store.Sync();
+  uint64_t disk_bytes = 0;
+  for (size_t p = 0; p < store.NumPartitions(); ++p) {
+    std::vector<uint8_t> bytes;
+    ASSERT_TRUE(ReadFileBytes(store.Info(p).path, &bytes));
+    disk_bytes += bytes.size();
+    std::vector<EdgeRecord> decoded;
+    PartitionDecodeStatus status = DecodePartitionBytes(store.Info(p).path, bytes, &decoded);
+    ASSERT_TRUE(status.ok) << status.error;
+    EXPECT_TRUE(SameEdges(decoded, model[p].edges)) << "partition " << p << " on disk";
+  }
+  EXPECT_LT(disk_bytes, store.TotalBytes());
 }
 
 TEST_F(IoPipelineTest, HintPrefetchesAndCountsHitsAndWaste) {
   TempDir dir("iopipe-hint");
   obs::MetricsRegistry metrics;
-  PartitionStorePipeline pipeline;
-  pipeline.enabled = true;
-  PartitionStore store(dir.path(), &metrics, pipeline);
+  PartitionStore store(dir.path(), runtime_, &metrics);
   std::vector<EdgeRecord> base;
   for (VertexId v = 0; v < 64; ++v) {
     base.push_back(MakeEdge(v, v, 1, 64));
@@ -221,10 +263,7 @@ TEST_F(IoPipelineTest, PrefetchCacheBorrowsFromBudgetLease) {
   obs::MetricsRegistry metrics;
   BudgetArbiter arbiter(uint64_t{64} << 20);
   BudgetLease lease = arbiter.Acquire(uint64_t{4} << 20);
-  PartitionStorePipeline pipeline;
-  pipeline.enabled = true;
-  pipeline.budget_lease = &lease;
-  PartitionStore store(dir.path(), &metrics, pipeline);
+  PartitionStore store(dir.path(), runtime_, &metrics, PartitionCacheBudget{&lease});
   // ~3 MB of edges in ~1 MB partitions: the cache (lease/4 = 1 MB) cannot
   // hold two partitions without growing the lease.
   std::vector<EdgeRecord> base;
@@ -253,9 +292,9 @@ TEST_F(IoPipelineTest, PrefetchCacheBorrowsFromBudgetLease) {
 }
 
 // A chain + extra edges under a tiny budget forces appends, rewrites, and
-// splits; the resulting edge files must be bit-for-bit equivalent in
-// content between the two modes.
-TEST_F(IoPipelineTest, EngineResultsAreByteIdenticalAcrossModes) {
+// splits; the closure must hold exactly the edges the same run computes in
+// one in-memory partition.
+TEST_F(IoPipelineTest, EngineSpillMatchesInMemory) {
   constexpr char kSource[] = R"(
     method m(int x) {
       int y
@@ -279,13 +318,13 @@ TEST_F(IoPipelineTest, EngineResultsAreByteIdenticalAcrossModes) {
   grammar.AddUnary(edge, path);
   grammar.AddBinary(path, edge, path);
 
-  auto run = [&](bool pipelined) {
-    TempDir dir(pipelined ? "iopipe-eng-on" : "iopipe-eng-off");
+  using Key = std::tuple<VertexId, VertexId, Label, std::vector<uint8_t>>;
+  auto run = [&](uint64_t budget_bytes, uint64_t* splits) {
+    TempDir dir("iopipe-eng");
     IntervalOracle oracle(&icfet);
     EngineOptions options;
     options.work_dir = dir.path();
-    options.io_pipeline = pipelined;
-    options.memory_budget_bytes = 1 << 14;  // tiny: force splits + appends
+    options.memory_budget_bytes = budget_bytes;
     GraphEngine engine(&grammar, &oracle, options);
     PathEncoding trivial = PathEncoding::Empty();
     const VertexId n = 40;
@@ -297,18 +336,26 @@ TEST_F(IoPipelineTest, EngineResultsAreByteIdenticalAcrossModes) {
     }
     engine.Finalize(n);
     engine.Run();
-    std::vector<uint8_t> dump;
-    engine.ForEachEdge([&](const EdgeRecord& e) { SerializeEdge(e, &dump); });
-    return std::make_pair(dump, engine.stats().final_edges);
+    std::vector<Key> closure;
+    engine.ForEachEdge([&](const EdgeRecord& e) {
+      closure.emplace_back(e.src, e.dst, e.label, e.payload);
+    });
+    std::sort(closure.begin(), closure.end());
+    *splits = engine.stats().partition_splits;
+    return closure;
   };
 
-  auto [off_dump, off_edges] = run(false);
-  auto [on_dump, on_edges] = run(true);
-  EXPECT_EQ(off_edges, on_edges);
-  EXPECT_EQ(off_dump, on_dump);
+  uint64_t spill_splits = 0;
+  uint64_t memory_splits = 0;
+  std::vector<Key> spilled = run(uint64_t{16} << 10, &spill_splits);
+  std::vector<Key> in_memory = run(uint64_t{64} << 20, &memory_splits);
+  EXPECT_GT(spill_splits, 0u);  // the small budget really spilled
+  EXPECT_EQ(memory_splits, 0u);
+  EXPECT_FALSE(in_memory.empty());
+  EXPECT_EQ(spilled, in_memory);
 }
 
-TEST_F(IoPipelineTest, FacadeReportsAreByteIdenticalAcrossModes) {
+TEST_F(IoPipelineTest, FacadeReportsSpillMatchesInMemory) {
   constexpr char kSmall[] = R"(
     method main() {
       obj f : FileWriter
@@ -322,11 +369,11 @@ TEST_F(IoPipelineTest, FacadeReportsAreByteIdenticalAcrossModes) {
       return
     }
   )";
-  auto run = [&](bool pipelined) {
+  auto run = [&](uint64_t budget_bytes) {
     ParseResult parsed = ParseProgram(kSmall);
     EXPECT_TRUE(parsed.ok) << parsed.error;
     GrappleOptions options;
-    options.engine.io_pipeline = pipelined;
+    options.engine.memory_budget_bytes = budget_bytes;
     Grapple analyzer(std::move(parsed.program), options);
     GrappleResult result = analyzer.Check(AllBuiltinCheckers());
     std::string json;
@@ -335,7 +382,9 @@ TEST_F(IoPipelineTest, FacadeReportsAreByteIdenticalAcrossModes) {
     }
     return json;
   };
-  EXPECT_EQ(run(false), run(true));
+  std::string in_memory = run(uint64_t{64} << 20);
+  EXPECT_FALSE(in_memory.empty());
+  EXPECT_EQ(run(uint64_t{16} << 10), in_memory);
 }
 
 }  // namespace

@@ -25,7 +25,7 @@ EdgeRecord MakeEdge(VertexId src, VertexId dst, Label label, size_t payload_size
 std::vector<uint8_t> EncodeBlockFile(const std::vector<EdgeRecord>& edges) {
   std::vector<uint8_t> file;
   AppendBlockFileHeader(&file);
-  AppendEdgeBlock(edges, &file, nullptr);
+  AppendEdgeBlock(edges, &file);
   return file;
 }
 
@@ -69,59 +69,94 @@ TEST(PartitionCorruptionTest, UnknownFormatVersionIsRejected) {
 }
 
 TEST(PartitionCorruptionTest, CorruptLengthCannotDriveHugeAllocation) {
-  // A raw-format record whose payload-length varint wildly exceeds the file
-  // must fail cleanly (the old reader resized first and asked questions
-  // later).
-  std::vector<uint8_t> raw;
-  PutVarint64(&raw, 1);                      // src
-  PutVarint64(&raw, 2);                      // dst
-  PutVarint64(&raw, 3);                      // label
-  PutVarint64(&raw, uint64_t{1} << 40);      // payload length: 1 TB
-  raw.push_back(0xAB);                       // one actual byte
+  // The block header sits outside the checksum. A block that claims 2^40
+  // edges and payloads over a few body bytes (with a valid checksum) must
+  // fail cleanly instead of reserving a terabyte-scale payload table.
+  std::vector<uint8_t> body = {0, 1, 0xAB};
+  std::vector<uint8_t> file;
+  AppendBlockFileHeader(&file);
+  PutVarint64(&file, uint64_t{1} << 40);  // edge count
+  PutVarint64(&file, uint64_t{1} << 40);  // payload count
+  PutVarint64(&file, body.size());
+  file.insert(file.end(), body.begin(), body.end());
+  PutFixed64(&file, Fnv1a64(body.data(), body.size()));
   std::vector<EdgeRecord> decoded;
-  PartitionDecodeStatus status = DecodePartitionBytes("huge.edges", raw, &decoded);
+  PartitionDecodeStatus status = DecodePartitionBytes("huge.edges", file, &decoded);
   ASSERT_FALSE(status.ok);
+  EXPECT_NE(status.error.find("implausible block header"), std::string::npos) << status.error;
   EXPECT_NE(status.error.find("huge.edges"), std::string::npos) << status.error;
-  EXPECT_NE(status.error.find("offset 0"), std::string::npos) << status.error;
-}
-
-TEST(PartitionCorruptionTest, TruncatedRawFileNamesOffsetOfBadRecord) {
-  std::vector<uint8_t> raw;
-  SerializeEdge(MakeEdge(1, 2, 3), &raw);
-  size_t good = raw.size();
-  SerializeEdge(MakeEdge(4, 5, 6), &raw);
-  raw.resize(good + 2);  // tear the second record
-  std::vector<EdgeRecord> decoded;
-  PartitionDecodeStatus status = DecodePartitionBytes("torn.edges", raw, &decoded);
-  ASSERT_FALSE(status.ok);
-  EXPECT_NE(status.error.find("offset " + std::to_string(good)), std::string::npos)
+  EXPECT_NE(status.error.find("offset " + std::to_string(kBlockFileHeaderSize)),
+            std::string::npos)
       << status.error;
 }
 
-TEST(PartitionCorruptionTest, StoreLoadThrowsDiagnosticOnCorruptFile) {
-  TempDir dir("corrupt-store");
-  PartitionStore store(dir.path());
-  std::vector<EdgeRecord> edges = SampleEdges();
-  store.Initialize(edges, 40, 1 << 20);
-  ASSERT_EQ(store.NumPartitions(), 1u);
-  // Bit-flip a length varint in the middle of the raw file.
+class StoreCorruptionTest : public ::testing::Test {
+ protected:
+  StoreCorruptionTest() : dir_("corrupt-store"), runtime_(TaskRuntimeOptions{1}) {}
+
+  // A one-partition store whose file has been written to disk.
+  void InitializeOnePartition(PartitionStore* store) {
+    store->Initialize(SampleEdges(), 40, 1 << 20);
+    ASSERT_EQ(store->NumPartitions(), 1u);
+    store->Sync();
+  }
+
+  // Drops the partition's write-back cache image (an append invalidates
+  // it), so the next Load decodes the file on disk.
+  void ForceDiskLoad(PartitionStore* store) {
+    store->Append(0, {MakeEdge(1, 9, 1)});
+  }
+
+  // Load(0) must throw a catchable IoError (not abort), so the facade can
+  // isolate the failing checker instead of taking down a multi-checker
+  // run. Returns its message.
+  std::string LoadError(PartitionStore* store) {
+    try {
+      store->Load(0);
+    } catch (const IoError& e) {
+      return e.what();
+    }
+    ADD_FAILURE() << "Load of a corrupt partition file did not throw";
+    return std::string();
+  }
+
+  TempDir dir_;
+  TaskRuntime runtime_;
+};
+
+TEST_F(StoreCorruptionTest, StoreLoadThrowsDiagnosticOnCorruptFile) {
+  PartitionStore store(dir_.path(), runtime_);
+  InitializeOnePartition(&store);
   std::vector<uint8_t> bytes;
   ASSERT_TRUE(ReadFileBytes(store.Info(0).path, &bytes));
-  bytes[bytes.size() / 2] |= 0x80;
-  bytes.resize(bytes.size() - 3);
+  bytes[bytes.size() / 2] ^= 0x40;  // flip a bit inside the block body
   ASSERT_TRUE(WriteFileBytes(store.Info(0).path, bytes));
-  // A catchable IoError (not an abort), so the facade can isolate the
-  // failing checker instead of taking down a multi-checker run.
-  try {
-    store.Load(0);
-    FAIL() << "Load of a corrupt partition file did not throw";
-  } catch (const IoError& e) {
-    EXPECT_NE(std::string(e.what()).find("partition file corrupt"), std::string::npos)
-        << e.what();
-    EXPECT_NE(std::string(e.what()).find("truncated or corrupt raw edge record"),
-              std::string::npos)
-        << e.what();
+  ForceDiskLoad(&store);
+  std::string what = LoadError(&store);
+  EXPECT_NE(what.find("partition file corrupt"), std::string::npos) << what;
+  EXPECT_NE(what.find("checksum mismatch"), std::string::npos) << what;
+  EXPECT_NE(what.find(store.Info(0).path), std::string::npos) << what;
+}
+
+// Partition files have one format. A file without the block-format header
+// (e.g. a bare varint record stream) is refused with an error naming the
+// file, never guessed at.
+TEST_F(StoreCorruptionTest, HeaderlessFileFailsLoadNamingPath) {
+  PartitionStore store(dir_.path(), runtime_);
+  InitializeOnePartition(&store);
+  std::vector<uint8_t> headerless;
+  for (const EdgeRecord& edge : SampleEdges()) {
+    PutVarint64(&headerless, edge.src);
+    PutVarint64(&headerless, edge.dst);
+    PutVarint64(&headerless, edge.label);
+    PutVarint64(&headerless, edge.payload.size());
+    headerless.insert(headerless.end(), edge.payload.begin(), edge.payload.end());
   }
+  ASSERT_TRUE(WriteFileBytes(store.Info(0).path, headerless));
+  ForceDiskLoad(&store);
+  std::string what = LoadError(&store);
+  EXPECT_NE(what.find("no GRPB header"), std::string::npos) << what;
+  EXPECT_NE(what.find(store.Info(0).path), std::string::npos) << what;
 }
 
 TEST(PartitionCorruptionTest, TornProvenanceTailKeepsParsedPrefix) {

@@ -211,6 +211,16 @@ TEST(EventLogTest, DecodeRejectsCorruptDumps) {
   std::string error;
   EXPECT_FALSE(DecodeFlightRecording(path, &recording, &error));
   EXPECT_FALSE(error.empty());
+
+  // An event count whose byte size wraps around 2^64 (2^59 * 32 = 2^64).
+  std::vector<uint8_t> wrapping = {'G', 'F', 'R', '1'};
+  PutFixed32(&wrapping, 1);
+  PutFixed64(&wrapping, uint64_t{1} << 59);
+  PutFixed32(&wrapping, 0);  // an empty string table
+  ASSERT_TRUE(WriteFileBytes(path, wrapping));
+  error.clear();
+  EXPECT_FALSE(DecodeFlightRecording(path, &recording, &error));
+  EXPECT_NE(error.find("truncated event section"), std::string::npos) << error;
 }
 
 TEST(EventLogTest, DisableIsPauseNotClear) {

@@ -305,6 +305,14 @@ TEST(ProfilerTest, DecodeRejectsTruncationAndCorruption) {
   std::vector<uint8_t> truncated(good.begin(), good.begin() + 20);
   expect_error(truncated, "truncated payload");
 
+  // A length field that wraps 16 + len + 8 around 2^64.
+  std::vector<uint8_t> huge_length = good;
+  for (int i = 0; i < 8; ++i) {
+    huge_length[8 + i] = 0xff;
+  }
+  huge_length[8] = 0xf0;
+  expect_error(huge_length, "truncated payload");
+
   std::vector<uint8_t> flipped = good;
   flipped[20] ^= 0x01;  // inside the payload: checksum must catch it
   expect_error(flipped, "checksum mismatch");

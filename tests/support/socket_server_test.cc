@@ -65,6 +65,22 @@ std::string SimpleGet(const std::string& path) {
   return "GET " + path + " HTTP/1.0\r\n\r\n";
 }
 
+// grappled and grapple-client share this parser for --port.
+TEST(SocketServerTest, ParsePortIsStrict) {
+  int port = -1;
+  EXPECT_TRUE(ParsePort("0", &port));  // explicit ephemeral request
+  EXPECT_EQ(port, 0);
+  EXPECT_TRUE(ParsePort("8437", &port));
+  EXPECT_EQ(port, 8437);
+  EXPECT_TRUE(ParsePort("65535", &port));
+  EXPECT_EQ(port, 65535);
+  for (const char* bad : {"", "abc", "80x", " 80", "+80", "-1", "65536", "99999999999"}) {
+    port = 7;
+    EXPECT_FALSE(ParsePort(bad, &port)) << "'" << bad << "'";
+    EXPECT_EQ(port, 7) << "'" << bad << "' must leave the port untouched";
+  }
+}
+
 TEST(SocketServerTest, ServesBasicGet) {
   SocketServer server;
   std::string error;

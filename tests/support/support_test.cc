@@ -87,6 +87,35 @@ TEST(ByteIoTest, FixedWidthRoundTrip) {
   EXPECT_EQ(reader.GetFixed64(), 0x0123456789ABCDEFULL);
 }
 
+// The string overloads write the same little-endian bytes the vector
+// overloads do (GPRF profiles and GFR1 flight recordings use them).
+TEST(ByteIoTest, FixedWidthStringMatchesVector) {
+  std::vector<uint8_t> bytes;
+  std::string text;
+  PutFixed32(&bytes, 0xDEADBEEF);
+  PutFixed64(&bytes, 0x0123456789ABCDEFULL);
+  PutFixed32(&text, 0xDEADBEEF);
+  PutFixed64(&text, 0x0123456789ABCDEFULL);
+  ASSERT_EQ(std::string(bytes.begin(), bytes.end()), text);
+  EXPECT_EQ(DecodeFixed32(bytes.data()), 0xDEADBEEFu);
+  EXPECT_EQ(DecodeFixed64(bytes.data() + 4), 0x0123456789ABCDEFULL);
+}
+
+// Both offset bases are pinned: partition blocks and GPRF profiles use the
+// standard one, checkpoint manifests the one-digit-short one. Changing
+// either would make existing files fail their checksums.
+TEST(ByteIoTest, Fnv1a64PinsBothBases) {
+  EXPECT_EQ(kFnv1a64Basis, 14695981039346656037ULL);
+  EXPECT_EQ(kFnv1a64ShortBasis, 1469598103934665603ULL);
+  EXPECT_EQ(Fnv1a64("", 0), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(Fnv1a64("a", 1), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(Fnv1a64("a", 1, kFnv1a64ShortBasis), 0x44bd8ad473cd9906ULL);
+  EXPECT_EQ(Fnv1a64("foobar", 6, kFnv1a64ShortBasis), 0x88fad7c0a8ff07f2ULL);
+  // Chaining through the seed hashes the concatenation.
+  EXPECT_EQ(Fnv1a64("bar", 3, Fnv1a64("foo", 3, kFnv1a64ShortBasis)),
+            Fnv1a64("foobar", 6, kFnv1a64ShortBasis));
+}
+
 TEST(ByteIoTest, ReaderPoisonsOnUnderrun) {
   std::vector<uint8_t> buffer = {0x80};  // truncated varint
   ByteReader reader(buffer);

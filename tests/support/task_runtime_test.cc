@@ -5,15 +5,13 @@
 // core/runtime_determinism_test.cc; this file pins the scheduler mechanics
 // those guarantees are built on.
 //
-// Own binary: the ResolveStealPolicy tests mutate the GRAPPLE_STEAL
-// environment variable, and several tests park worker threads on purpose.
+// Own binary: several tests park worker threads on purpose.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <functional>
-#include <cstdlib>
 #include <mutex>
 #include <set>
 #include <string>
@@ -69,34 +67,6 @@ TEST(TaskRuntimeTest, StealUnderContentionRunsAllTasksAcrossWorkers) {
   EXPECT_GE(stats.queue_peak, 1u);
   // 256 x 200us on one core is ~51ms of runway; thieves certainly joined.
   EXPECT_GE(executors.size(), 2u);
-}
-
-TEST(TaskRuntimeTest, PinnedPolicyNeverStealsAndHonorsAffinity) {
-  TaskRuntimeOptions options;
-  options.workers = 4;
-  options.steal_policy = StealPolicy::kPinned;
-  TaskRuntime runtime(options);
-  constexpr int kTasks = 32;
-  // affinity 5 % 4 workers = home worker 1, for every task.
-  std::thread::id home = runtime.WorkerThreadId(1);
-  std::atomic<int> ran{0};
-  std::atomic<int> on_home{0};
-  for (int i = 0; i < kTasks; ++i) {
-    runtime.Submit(TaskLane::kForeground, /*affinity=*/5, [&] {
-      if (std::this_thread::get_id() == home) {
-        on_home.fetch_add(1);
-      }
-      ran.fetch_add(1);
-    });
-  }
-  // Fire-and-forget on purpose: TaskGroup::Wait() would help-execute the
-  // backlog inline and muddy the on-home accounting.
-  EXPECT_TRUE(SpinUntil([&] { return ran.load() == kTasks; }));
-  EXPECT_EQ(on_home.load(), kTasks);
-  TaskRuntimeStats stats = runtime.Stats();
-  EXPECT_EQ(stats.steals, 0u);
-  EXPECT_EQ(stats.affine_tasks, static_cast<uint64_t>(kTasks));
-  EXPECT_EQ(stats.affine_hits, static_cast<uint64_t>(kTasks));
 }
 
 // Shared scaffolding for the two steal-order tests: park both workers on
@@ -321,32 +291,9 @@ TEST(TaskRuntimeTest, ShutdownDrainsQueuedStrandBacklog) {
   EXPECT_EQ(count.load(), 40);
 }
 
-TEST(TaskRuntimeTest, StealPolicyNamesRoundTrip) {
-  for (StealPolicy policy : {StealPolicy::kLocalityAware, StealPolicy::kAlways,
-                             StealPolicy::kPinned}) {
-    StealPolicy parsed;
-    ASSERT_TRUE(ParseStealPolicy(StealPolicyName(policy), &parsed));
-    EXPECT_EQ(parsed, policy);
-  }
-  StealPolicy out;
-  EXPECT_FALSE(ParseStealPolicy("", &out));
-  EXPECT_FALSE(ParseStealPolicy("LOCALITY", &out));
-  EXPECT_FALSE(ParseStealPolicy("random", &out));
-}
-
-TEST(TaskRuntimeTest, ResolveStealPolicyHonorsEnvOverride) {
-  unsetenv("GRAPPLE_STEAL");
-  EXPECT_EQ(ResolveStealPolicy(StealPolicy::kLocalityAware), StealPolicy::kLocalityAware);
-  setenv("GRAPPLE_STEAL", "pinned", 1);
-  EXPECT_EQ(ResolveStealPolicy(StealPolicy::kLocalityAware), StealPolicy::kPinned);
-  setenv("GRAPPLE_STEAL", "always", 1);
-  EXPECT_EQ(ResolveStealPolicy(StealPolicy::kPinned), StealPolicy::kAlways);
-  // Unparseable values fall back to the requested policy.
-  setenv("GRAPPLE_STEAL", "bogus", 1);
-  EXPECT_EQ(ResolveStealPolicy(StealPolicy::kAlways), StealPolicy::kAlways);
-  setenv("GRAPPLE_STEAL", "", 1);
-  EXPECT_EQ(ResolveStealPolicy(StealPolicy::kPinned), StealPolicy::kPinned);
-  unsetenv("GRAPPLE_STEAL");
+TEST(TaskRuntimeTest, StealPolicyNames) {
+  EXPECT_STREQ(StealPolicyName(StealPolicy::kLocalityAware), "locality");
+  EXPECT_STREQ(StealPolicyName(StealPolicy::kAlways), "always");
 }
 
 }  // namespace

@@ -23,6 +23,8 @@
 #include <cstring>
 #include <string>
 
+#include "src/support/socket_server.h"
+
 namespace {
 
 bool ReadFile(const char* path, std::string* out) {
@@ -111,7 +113,11 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--port") == 0) {
       next(&value);
       if (value == nullptr) return Usage(argv[0]);
-      port = std::atoi(value);
+      if (!grapple::ParsePort(value, &port)) {
+        std::fprintf(stderr,
+                     "grapple-client: --port must be an integer in [0, 65535], got '%s'\n", value);
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--tenant") == 0) {
       next(&value);
       if (value == nullptr) return Usage(argv[0]);

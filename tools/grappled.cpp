@@ -31,6 +31,7 @@
 #include "src/obs/report.h"
 #include "src/service/service.h"
 #include "src/support/byte_io.h"
+#include "src/support/socket_server.h"
 
 namespace {
 
@@ -87,7 +88,11 @@ int main(int argc, char** argv) {
     size_t* count = nullptr;
     if (flag_value("--port", &value)) {
       if (value == nullptr) return Usage(argv[0]);
-      options.port = std::atoi(value);
+      if (!grapple::ParsePort(value, &options.port)) {
+        std::fprintf(stderr, "grappled: --port must be an integer in [0, 65535], got '%s'\n",
+                     value);
+        return 2;
+      }
     } else if (flag_value("--port-file", &value)) {
       if (value == nullptr) return Usage(argv[0]);
       port_file = value;
