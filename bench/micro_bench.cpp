@@ -19,6 +19,7 @@
 #include "src/graph/constraint_oracle.h"
 #include "src/graph/integration.h"
 #include "src/graph/join_index.h"
+#include "src/graph/merge_memo.h"
 #include "src/graph/partition_store.h"
 #include "src/ir/parser.h"
 #include "src/pathenc/constraint_decoder.h"
@@ -145,6 +146,26 @@ void BM_OracleCacheHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OracleCacheHit);
+
+// The same repeat merge answered by the engine's merge memo, as a join
+// shard sees it: two interned payload ids, one probe of the frozen memo.
+void BM_MergeMemoHit(benchmark::State& state) {
+  IntervalOracle oracle(&Fixture().icfet);
+  auto pa = oracle.BasePayload(PathEncoding::Interval(0, 0, 2));
+  auto pb = oracle.BasePayload(InterprocEncoding());
+  PayloadTable payloads;
+  uint32_t a = payloads.Intern(pa.data(), pa.size());
+  uint32_t b = payloads.Intern(pb.data(), pb.size());
+  MergeMemo memo(size_t{1} << 16);
+  ShardMerges first_round(&memo, &payloads, &oracle);
+  first_round.Merge(a, b);
+  first_round.FoldInto(&memo, &payloads);
+  ShardMerges merges(&memo, &payloads, &oracle);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(merges.Merge(a, b));
+  }
+}
+BENCHMARK(BM_MergeMemoHit);
 
 void BM_OracleNoCache(benchmark::State& state) {
   IntervalOracle::Options options;

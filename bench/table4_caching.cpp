@@ -7,12 +7,17 @@
 //
 // Paper: hit rates 59.9-78.0%, savings 63.7-86.7%.
 //
+// A join the engine's merge memo answers (DESIGN.md §3, "Merge memo") never
+// reaches the oracle. It repeats an earlier merge of the same two payloads,
+// whose full encoding the oracle's memo already holds, so it counts as one
+// lookup and one hit: the table reads as if every merge asked the oracle.
+//
 // Every run uses one join thread. With more, two shards that miss the same
 // key at once both solve it (DESIGN.md, "Oracle concurrency"): results stay
 // the same, but the split between hits and solves would depend on the
-// schedule. At one thread the counts are exact, so the summed lookups and
-// hits are emitted as gauges that scripts/check_bench.py pins at the CI
-// scale.
+// schedule. At one thread the counts are exact, so the summed lookups, hits
+// and merge-memo hits are emitted as gauges that scripts/check_bench.py
+// pins at the CI scale.
 #include "bench/bench_util.h"
 
 namespace grapple {
@@ -21,14 +26,17 @@ namespace {
 struct CacheRunStats {
   uint64_t lookups = 0;  // constraint checks requested (hits + solves)
   uint64_t hits = 0;
+  uint64_t memo_hits = 0;  // of the hits, joins the merge memo answered
   double constraint_seconds = 0;  // decode + solve time
 };
 
 CacheRunStats StatsOf(const GrappleResult& result) {
   CacheRunStats stats;
   auto add = [&](const EngineStats& engine) {
-    stats.lookups += engine.oracle.cache_hits + engine.oracle.constraints_checked;
-    stats.hits += engine.oracle.cache_hits;
+    stats.lookups +=
+        engine.oracle.cache_hits + engine.oracle.constraints_checked + engine.merge_memo_hits;
+    stats.hits += engine.oracle.cache_hits + engine.merge_memo_hits;
+    stats.memo_hits += engine.merge_memo_hits;
     stats.constraint_seconds += engine.oracle.lookup_seconds + engine.oracle.solve_seconds;
   };
   add(result.alias.engine);
@@ -62,6 +70,7 @@ int Main() {
     AddSubject(&bench, preset.name + ":cache", warm.result);
     total.lookups += twc.lookups;
     total.hits += twc.hits;
+    total.memo_hits += twc.memo_hits;
 
     double rate = twc.lookups > 0 ? 100.0 * twc.hits / static_cast<double>(twc.lookups) : 0;
     double saving = toc.constraint_seconds > 0
@@ -79,6 +88,7 @@ int Main() {
   phase.name = "table4";
   phase.metrics.gauges["t4_lookups"] = static_cast<double>(total.lookups);
   phase.metrics.gauges["t4_hits"] = static_cast<double>(total.hits);
+  phase.metrics.gauges["t4_memo_hits"] = static_cast<double>(total.memo_hits);
   memo.phases.push_back(std::move(phase));
   bench.Add(std::move(memo));
   bench.Write();

@@ -278,6 +278,18 @@ DEFAULT_WATCH = [
         "max_scale": 0.1,
     },
     {
+        # Of those hits, the joins the engine's merge memo answered before
+        # the oracle (one join thread, so one shard: exact). The lookups and
+        # hits above stay put whether the memo or the oracle answers a
+        # repeat; this count shows how many repeats the memo takes.
+        "key": "table4_caching/memo/table4/gauge:t4_memo_hits",
+        "direction": "higher_is_better",
+        "min": 830.0,
+        "max": 830.0,
+        "min_scale": 0.1,
+        "max_scale": 0.1,
+    },
+    {
         # Warm throughput of the analysis service's two-tenant burst
         # (bench/service_bench.cpp). Wall-clock over loopback HTTP, so the
         # tolerance is wide; the floor catches the service falling back to

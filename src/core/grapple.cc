@@ -63,6 +63,8 @@ EngineOptions EngineOptionsFrom(const GrappleOptions& options, TaskRuntime* runt
   engine_options.memory_budget_bytes = options.engine.memory_budget_bytes;
   engine_options.num_threads = options.scheduling.num_threads;
   engine_options.max_variants_per_triple = options.engine.max_variants_per_triple;
+  engine_options.enable_cache = options.engine.enable_cache;
+  engine_options.cache_capacity = options.engine.cache_capacity;
   engine_options.checkpoint_interval = options.robustness.checkpoint_interval;
   engine_options.checkpoint_min_spacing_seconds = options.robustness.checkpoint_min_spacing_s;
   engine_options.runtime = runtime;
@@ -369,6 +371,11 @@ Grapple::~Grapple() {
       obs::ProfilerWriteFile(obs::ProfilerDumpPath());
     }
     obs::ProfilerStop();
+  }
+  // Release this session's claim on the dump path, or every later session
+  // in the process would keep dumping into this (soon deleted) work dir.
+  if (obs::ProfilerDumpPath() == work_dir_ + "/profile.bin") {
+    obs::ProfilerSetDumpPath("");
   }
 }
 

@@ -29,14 +29,15 @@ const obs::ScopeName kJoinScope("join");
 const obs::ScopeName kJoinShardScope("join_shard");
 const obs::ScopeName kRunScope("run");
 
-// A join result awaiting integration. Its payload is a span of its shard's
-// arena, shared by every candidate of the same join.
+// A join result awaiting integration. Its payload is interned when the
+// merge memo answered it, and otherwise a miss of its shard (interned when
+// integration folds the shard's misses).
 struct Candidate {
   VertexId src = 0;
   VertexId dst = 0;
   Label label = kNoLabel;
-  uint32_t payload_off = 0;
-  uint32_t payload_len = 0;
+  bool interned = false;
+  uint32_t payload = 0;  // see ShardMerges::Answer
   // Provenance (only filled when recording): content hashes + identities of
   // the two parent edges the join consumed.
   uint64_t parent_a = 0;
@@ -47,8 +48,11 @@ struct Candidate {
 
 // One join shard's output for a round.
 struct ShardCandidates {
+  ShardCandidates(const MergeMemo* memo, const PayloadTable* payloads, ConstraintOracle* oracle)
+      : merges(memo, payloads, oracle) {}
+
   std::vector<Candidate> candidates;
-  std::vector<uint8_t> arena;
+  ShardMerges merges;
 };
 
 obs::ProvEdge ProvEdgeOf(VertexId src, VertexId dst, Label label) {
@@ -69,32 +73,29 @@ class GraphEngine::LoadedPair {
     VertexId src;
     VertexId dst;
     Label label;
-    uint32_t payload_off;
-    uint32_t payload_len;
+    uint32_t payload;  // id in the engine's PayloadTable
   };
 
-  LoadedPair(const Grammar* grammar, VertexId lo1, VertexId hi1, VertexId lo2, VertexId hi2)
-      : index_(grammar, lo1, hi1, lo2, hi2) {}
+  LoadedPair(const Grammar* grammar, const PayloadTable* payloads, VertexId lo1, VertexId hi1,
+             VertexId lo2, VertexId hi2)
+      : payloads_(payloads), index_(grammar, lo1, hi1, lo2, hi2) {}
 
   bool Owns(VertexId v) const { return index_.Owns(v); }
   const JoinIndex& index() const { return index_; }
 
   size_t NumEdges() const { return edges_.size(); }
   const MemEdge& EdgeAt(size_t i) const { return edges_[i]; }
-  const uint8_t* PayloadOf(const MemEdge& e) const { return arena_.data() + e.payload_off; }
-  uint64_t arena_bytes() const { return arena_.size(); }
+  const uint8_t* PayloadOf(const MemEdge& e) const { return payloads_->data(e.payload); }
+  uint32_t PayloadLength(const MemEdge& e) const { return payloads_->length(e.payload); }
+  // Sum of the resident edges' payload lengths: what the memory guard and
+  // split sizing count, however many edges share one interned payload.
+  uint64_t payload_bytes() const { return payload_bytes_; }
 
   // Appends without any checks (caller already dedup'd globally).
-  uint32_t Insert(VertexId src, VertexId dst, Label label, const uint8_t* payload, size_t len) {
+  uint32_t Insert(VertexId src, VertexId dst, Label label, uint32_t payload) {
     uint32_t idx = static_cast<uint32_t>(edges_.size());
-    MemEdge e;
-    e.src = src;
-    e.dst = dst;
-    e.label = label;
-    e.payload_off = static_cast<uint32_t>(arena_.size());
-    e.payload_len = static_cast<uint32_t>(len);
-    arena_.insert(arena_.end(), payload, payload + len);
-    edges_.push_back(e);
+    edges_.push_back({src, dst, label, payload});
+    payload_bytes_ += payloads_->length(payload);
     index_.Add(idx, src, dst, label);
     return idx;
   }
@@ -104,13 +105,14 @@ class GraphEngine::LoadedPair {
     record.src = e.src;
     record.dst = e.dst;
     record.label = e.label;
-    record.payload.assign(PayloadOf(e), PayloadOf(e) + e.payload_len);
+    record.payload.assign(PayloadOf(e), PayloadOf(e) + PayloadLength(e));
     return record;
   }
 
  private:
+  const PayloadTable* payloads_;
   std::vector<MemEdge> edges_;
-  std::vector<uint8_t> arena_;
+  uint64_t payload_bytes_ = 0;
   JoinIndex index_;
 };
 
@@ -127,6 +129,7 @@ GraphEngine::GraphEngine(const Grammar* grammar, ConstraintOracle* oracle, Engin
       c_join_rounds_(metrics_.Counter("engine_join_rounds_total")),
       c_joins_attempted_(metrics_.Counter("engine_joins_attempted_total")),
       c_join_scan_visits_(metrics_.Counter("engine_join_scan_visits_total")),
+      c_merge_memo_hits_(metrics_.Counter("engine_merge_memo_hits_total")),
       c_edges_added_(metrics_.Counter("engine_edges_added_total")),
       c_unsat_pruned_(metrics_.Counter("engine_unsat_pruned_total")),
       c_widened_triples_(metrics_.Counter("engine_widened_triples_total")),
@@ -150,7 +153,9 @@ GraphEngine::GraphEngine(const Grammar* grammar, ConstraintOracle* oracle, Engin
       runtime_(options_.runtime != nullptr ? options_.runtime : owned_runtime_.get()),
       join_shards_(ResolveThreadCount(options_.num_threads)),
       store_(options_.work_dir, *runtime_, &metrics_,
-             PartitionCacheBudget{options_.budget_lease, options_.memory_budget_bytes}) {
+             PartitionCacheBudget{options_.budget_lease, options_.memory_budget_bytes}),
+      memo_(options_.enable_cache ? std::make_unique<MergeMemo>(options_.cache_capacity)
+                                  : nullptr) {
   GRAPPLE_CHECK(options_.io_pipeline)
       << "EngineOptions::io_pipeline = false is retired: partition I/O is always pipelined";
   obs::EventLogInstall();
@@ -233,6 +238,7 @@ void EngineStats::SyncFromMetrics() {
   unsat_pruned = metrics.CounterOr("engine_unsat_pruned_total");
   widened_triples = metrics.CounterOr("engine_widened_triples_total");
   partition_splits = metrics.CounterOr("engine_partition_splits_total");
+  merge_memo_hits = metrics.CounterOr("engine_merge_memo_hits_total");
   timed_out = metrics.GaugeOr("engine_timed_out") > 0;
   num_partitions = static_cast<size_t>(metrics.GaugeOr("engine_num_partitions"));
   peak_partitions = static_cast<size_t>(metrics.GaugeOr("engine_peak_partitions"));
@@ -520,6 +526,12 @@ void GraphEngine::Run() {
       pairs_since_checkpoint_ = 0;
     }
   }
+  // The payload ids and the memo serve only the closure; an engine kept for
+  // its results must not hold them.
+  payloads_.Clear();
+  if (memo_ != nullptr) {
+    memo_->Clear();
+  }
   // Write-behind barrier: the on-disk state must be complete when Run()
   // returns (result iteration, witness decoding, external readers).
   store_.Sync();
@@ -579,9 +591,19 @@ obs::MetricsSnapshot GraphEngine::Metrics() const {
 
 void GraphEngine::ProcessPair(size_t pi, size_t pj) {
   metrics_.Add(c_pair_loads_);
+  // Between pairs no edge holds a payload id, so this is where the payload
+  // table and the memo are bounded: without a memo the table only serves
+  // the resident pair, and with one both start over once the memo is full
+  // or the table holds more than cache_capacity payloads.
+  if (memo_ == nullptr || memo_->full() || payloads_.size() > options_.cache_capacity) {
+    payloads_.Clear();
+    if (memo_ != nullptr) {
+      memo_->Clear();
+    }
+  }
   const PartitionInfo& info_i = store_.Info(pi);
   const PartitionInfo& info_j = store_.Info(pj);
-  LoadedPair pair(grammar_, info_i.lo, info_i.hi, pi == pj ? info_i.lo : info_j.lo,
+  LoadedPair pair(grammar_, &payloads_, info_i.lo, info_i.hi, pi == pj ? info_i.lo : info_j.lo,
                   pi == pj ? info_i.hi : info_j.hi);
 
   std::vector<EdgeRecord> loaded = store_.Load(pi);
@@ -592,7 +614,8 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
                   std::make_move_iterator(more.end()));
   }
   for (const auto& edge : loaded) {
-    pair.Insert(edge.src, edge.dst, edge.label, edge.payload.data(), edge.payload.size());
+    pair.Insert(edge.src, edge.dst, edge.label,
+                payloads_.Intern(edge.payload.data(), edge.payload.size()));
   }
   size_t total_loaded = loaded.size();
   loaded.clear();
@@ -602,6 +625,7 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
   EdgeDedupIndex& index = *index_;
   ClosureExpander expander(grammar_);
   const std::vector<uint8_t> true_payload = oracle_->TruePayload();
+  const uint32_t true_id = payloads_.Intern(true_payload.data(), true_payload.size());
   const bool record_prov = provenance_ != nullptr;
 
   // Delta frontier: if every join among the first EdgesAtVersion(vi) edges
@@ -641,33 +665,38 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
     // are integrated in index order below, so the result is identical for
     // any worker count and any steal policy.
     size_t shards = join_shards_;
-    std::vector<ShardCandidates> shard_candidates(shards);
+    std::vector<ShardCandidates> shard_candidates;
+    shard_candidates.reserve(shards);
+    for (size_t shard = 0; shard < shards; ++shard) {
+      shard_candidates.emplace_back(memo_.get(), &payloads_, oracle_);
+    }
     std::atomic<uint64_t> joins{0};
     std::atomic<uint64_t> scan_visits{0};
+    // The memo and the payload table are frozen until integration: shards
+    // only read them, and each keeps its own misses in `merges`.
     auto join_shard = [&](size_t shard, size_t begin, size_t end) {
       obs::Scope shard_scope(kJoinShardScope);
       ShardCandidates& out = shard_candidates[shard];
       JoinIndex::Scan scan(pair.index());
       uint64_t local_joins = 0;
       // Joins a -> b (a.dst == b.src); a feasible result queues one
-      // candidate per rule result, all sharing one arena span.
+      // candidate per rule result, all sharing one payload.
       auto join = [&](const LoadedPair::MemEdge& a, const LoadedPair::MemEdge& b) {
         ++local_joins;
-        auto payload =
-            oracle_->MergeAndCheck(pair.PayloadOf(a), a.payload_len, pair.PayloadOf(b),
-                                   b.payload_len);
-        if (!payload.has_value()) {
+        ShardMerges::Answer answer = out.merges.Merge(a.payload, b.payload);
+        if (!answer.feasible) {
           return;
         }
         Candidate c;
         c.src = a.src;
         c.dst = b.dst;
-        c.payload_off = static_cast<uint32_t>(out.arena.size());
-        c.payload_len = static_cast<uint32_t>(payload->size());
-        out.arena.insert(out.arena.end(), payload->begin(), payload->end());
+        c.interned = answer.interned;
+        c.payload = answer.payload;
         if (record_prov) {
-          c.parent_a = EdgeContentHash(a.src, a.dst, a.label, pair.PayloadOf(a), a.payload_len);
-          c.parent_b = EdgeContentHash(b.src, b.dst, b.label, pair.PayloadOf(b), b.payload_len);
+          c.parent_a = EdgeContentHash(a.src, a.dst, a.label, pair.PayloadOf(a),
+                                       pair.PayloadLength(a));
+          c.parent_b = EdgeContentHash(b.src, b.dst, b.label, pair.PayloadOf(b),
+                                       pair.PayloadLength(b));
           c.a_edge = ProvEdgeOf(a.src, a.dst, a.label);
           c.b_edge = ProvEdgeOf(b.src, b.dst, b.label);
         }
@@ -727,6 +756,13 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
     metrics_.Observe(h_join_round_joins_, joins.load());
 
     // --- sequential integration ---
+    // Intern the shards' new payloads and record their misses in the memo,
+    // in shard order, so ids and memo contents do not depend on which
+    // worker ran which shard.
+    for (ShardCandidates& shard : shard_candidates) {
+      metrics_.Add(c_merge_memo_hits_, shard.merges.memo_hits());
+      shard.merges.FoldInto(memo_.get(), &payloads_);
+    }
     std::fill(in_frontier.begin(), in_frontier.end(), 0);
     std::vector<uint32_t> next_frontier;
     uint64_t round_added = 0;
@@ -736,23 +772,27 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
     std::vector<uint64_t> hashes;
     for (const ShardCandidates& shard : shard_candidates) {
       for (const Candidate& candidate : shard.candidates) {
-        const uint8_t* payload = shard.arena.data() + candidate.payload_off;
+        const uint32_t payload_id =
+            candidate.interned ? candidate.payload : shard.merges.InternedId(candidate.payload);
+        const uint8_t* payload = payloads_.data(payload_id);
+        const uint32_t payload_len = payloads_.length(payload_id);
         const std::vector<ClosureItem>& closure =
             expander.Expand(candidate.src, candidate.dst, candidate.label);
         hashes.assign(closure.size(), 0);
         for (size_t k = 0; k < closure.size(); ++k) {
           const ClosureItem& item = closure[k];
           EdgeDedupIndex::Admission admission =
-              index.Admit(item.src, item.dst, item.label, payload, candidate.payload_len,
-                          true_payload, options_.max_variants_per_triple);
+              index.Admit(item.src, item.dst, item.label, payload, payload_len, true_payload,
+                          options_.max_variants_per_triple);
           hashes[k] = admission.content;
           if (!admission.added) {
             continue;
           }
           ++round_added;
           round_widened += admission.widened ? 1 : 0;
-          const uint8_t* stored = admission.widened ? true_payload.data() : payload;
-          size_t stored_len = admission.widened ? true_payload.size() : candidate.payload_len;
+          const uint32_t stored_id = admission.widened ? true_id : payload_id;
+          const uint8_t* stored = payloads_.data(stored_id);
+          const uint32_t stored_len = payloads_.length(stored_id);
           if (record_prov) {
             obs::ProvEdge prov = ProvEdgeOf(item.src, item.dst, item.label);
             if (item.parent < 0) {
@@ -769,8 +809,7 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
             }
           }
           if (pair.Owns(item.src)) {
-            next_frontier.push_back(pair.Insert(item.src, item.dst, item.label, stored,
-                                                stored_len));
+            next_frontier.push_back(pair.Insert(item.src, item.dst, item.label, stored_id));
             in_frontier.push_back(1);
             if (item.src >= store_.Info(pi).lo && item.src < store_.Info(pi).hi) {
               changed_i = true;
@@ -801,9 +840,9 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
     // frontier just emptied has reached its fixpoint and completes anyway:
     // stopping it would reschedule it forever once its resident edges alone
     // exceed the budget.
-    metrics_.MaxGauge("engine_peak_resident_bytes", static_cast<double>(pair.arena_bytes()));
-    if (pair.arena_bytes() > BudgetBytes()) {
-      uint64_t want = pair.arena_bytes() + pair.arena_bytes() / 2;
+    metrics_.MaxGauge("engine_peak_resident_bytes", static_cast<double>(pair.payload_bytes()));
+    if (pair.payload_bytes() > BudgetBytes()) {
+      uint64_t want = pair.payload_bytes() + pair.payload_bytes() / 2;
       if (options_.budget_lease != nullptr && options_.budget_lease->TryGrowTo(want)) {
         metrics_.Add(c_budget_borrows_);
         metrics_.SetGauge("engine_budget_bytes", static_cast<double>(BudgetBytes()));
@@ -829,7 +868,7 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
       const auto& mem = pair.EdgeAt(e);
       if (mem.src >= lo && mem.src < hi) {
         edges.push_back(pair.ToRecord(mem));
-        bytes += 16 + mem.payload_len;
+        bytes += 16 + pair.PayloadLength(mem);
       }
     }
     if (bytes > target * 2 && hi - lo > 1) {

@@ -22,6 +22,7 @@
 #include "src/grammar/grammar.h"
 #include "src/graph/constraint_oracle.h"
 #include "src/graph/edge.h"
+#include "src/graph/merge_memo.h"
 #include "src/graph/partition_store.h"
 #include "src/obs/metrics.h"
 #include "src/obs/provenance.h"
@@ -93,6 +94,14 @@ struct EngineOptions {
   // re-encoding manifests. Completion manifests are never throttled. 0 =
   // checkpoint on every interval hit. GRAPPLE_CHECKPOINT_SPACING overrides.
   double checkpoint_min_spacing_seconds = 1.0;
+  // The join memo in front of the oracle (src/graph/merge_memo.h): the
+  // facade passes its engine.enable_cache and engine.cache_capacity, the
+  // same switch and bound as the oracle's own memo. Off, every join asks
+  // the oracle (Table 4's no-cache arm). On, the memo holds at most
+  // cache_capacity answers and the payload table at most cache_capacity
+  // payloads between pairs.
+  bool enable_cache = true;
+  size_t cache_capacity = size_t{1} << 16;
 };
 
 // Engine run statistics. The metrics registry is the source of truth; the
@@ -110,6 +119,7 @@ struct EngineStats {
   uint64_t unsat_pruned = 0;
   uint64_t widened_triples = 0;
   uint64_t partition_splits = 0;
+  uint64_t merge_memo_hits = 0;  // joins the merge memo answered without the oracle
   bool timed_out = false;
   size_t num_partitions = 0;
   size_t peak_partitions = 0;
@@ -232,6 +242,7 @@ class GraphEngine : public EdgeSink {
   obs::MetricId c_join_rounds_;
   obs::MetricId c_joins_attempted_;
   obs::MetricId c_join_scan_visits_;  // adjacency entries the join scan visited
+  obs::MetricId c_merge_memo_hits_;
   obs::MetricId c_edges_added_;
   obs::MetricId c_unsat_pruned_;
   obs::MetricId c_widened_triples_;
@@ -260,6 +271,12 @@ class GraphEngine : public EdgeSink {
   std::vector<EdgeRecord> pending_base_;
   // Global dedup and variant tables (src/graph/integration.h).
   std::unique_ptr<EdgeDedupIndex> index_;
+  // Interned payloads of the resident edges and of join results, and the
+  // join memo over their ids (null when options_.enable_cache is off).
+  // Both are cleared between pairs once they reach cache_capacity, and
+  // freed when Run() returns.
+  PayloadTable payloads_;
+  std::unique_ptr<MergeMemo> memo_;
   bool finalized_ = false;
 
   // Pair-scheduling bookkeeping, keyed by (pi, pj) with pi <= pj: done-

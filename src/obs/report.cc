@@ -87,7 +87,8 @@ std::string RenderEngineSummary(const MetricsSnapshot& s) {
   if (lookups > 0) {
     out << " (" << (100 * hits / lookups) << "% hit rate)";
   }
-  out << "\n";
+  out << "; " << s.CounterOr("engine_merge_memo_hits_total")
+      << " joins answered by the merge memo\n";
   char buffer[200];
   std::snprintf(buffer, sizeof(buffer),
                 "time: preprocess %.3fs, compute %.3fs (io %.3fs, lookup %.3fs, solve %.3fs)",

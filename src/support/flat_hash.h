@@ -50,6 +50,20 @@ class FlatHashTable64 {
     return slot == kZeroSlot ? zero_value_ : values_[slot];
   }
 
+  // Value of `key`, or nullptr when absent. Const and allocation-free, so
+  // any number of threads may look up at once while none inserts.
+  template <typename V = Value, typename = std::enable_if_t<!std::is_void_v<V>>>
+  const V* Find(uint64_t key) const {
+    if (key == 0) {
+      return has_zero_ ? &zero_value_ : nullptr;
+    }
+    if (keys_.empty()) {
+      return nullptr;
+    }
+    size_t slot = Probe(key);
+    return keys_[slot] != 0 ? &values_[slot] : nullptr;
+  }
+
   void Reserve(size_t n) {
     size_t cap = CapacityFor(n);
     if (cap > keys_.size()) {

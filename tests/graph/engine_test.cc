@@ -262,22 +262,35 @@ TEST_F(EngineTest, VariantCapWidensTriples) {
   EXPECT_GT(engine.stats().widened_triples, 0u);
 }
 
+// Many chains share the same interval encodings, so most joins repeat an
+// earlier merge. The engine's merge memo answers those repeats before the
+// oracle; with it off, the oracle's own memo does.
 TEST_F(EngineTest, CacheHitsOnRepeatedEncodings) {
-  TempDir dir("engine-cache");
-  IntervalOracle::Options oracle_options;
-  oracle_options.enable_cache = true;
-  IntervalOracle oracle(&icfet_, oracle_options);
-  EngineOptions options;
-  options.work_dir = dir.path();
-  GraphEngine engine(&grammar_, &oracle, options);
   std::vector<std::tuple<VertexId, VertexId, PathEncoding>> edges;
-  // Many chains sharing the same interval encodings.
   for (VertexId v = 0; v < 30; v += 3) {
     edges.emplace_back(v, v + 1, PathEncoding::Interval(0, 0, 2));
     edges.emplace_back(v + 1, v + 2, PathEncoding::Interval(0, 2, 6));
   }
-  RunAndCollectPaths(&engine, edges, 31);
-  EXPECT_GT(oracle.Stats().cache_hits, 0u);
+  for (bool merge_memo : {true, false}) {
+    SCOPED_TRACE(merge_memo ? "merge memo on" : "merge memo off");
+    TempDir dir("engine-cache");
+    IntervalOracle::Options oracle_options;
+    oracle_options.enable_cache = true;
+    IntervalOracle oracle(&icfet_, oracle_options);
+    EngineOptions options;
+    options.work_dir = dir.path();
+    options.enable_cache = merge_memo;
+    GraphEngine engine(&grammar_, &oracle, options);
+    RunAndCollectPaths(&engine, edges, 31);
+    const EngineStats& stats = engine.stats();
+    EXPECT_EQ(oracle.Stats().merges + stats.merge_memo_hits, stats.joins_attempted);
+    if (merge_memo) {
+      EXPECT_GT(stats.merge_memo_hits, 0u);
+    } else {
+      EXPECT_EQ(stats.merge_memo_hits, 0u);
+      EXPECT_GT(oracle.Stats().cache_hits, 0u);
+    }
+  }
 }
 
 TEST_F(EngineTest, MirrorEdgesMaterialized) {

@@ -10,12 +10,14 @@
 #include <algorithm>
 #include <atomic>
 #include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "src/cfg/call_graph.h"
 #include "src/cfg/loop_unroll.h"
 #include "src/graph/constraint_oracle.h"
+#include "src/graph/merge_memo.h"
 #include "src/ir/parser.h"
 #include "src/support/rng.h"
 #include "src/symexec/cfet_builder.h"
@@ -234,6 +236,121 @@ INSTANTIATE_TEST_SUITE_P(CacheCapacity, OracleConcurrencyTest,
                            return info.param == 16 ? std::string("Evicting")
                                                    : std::string("Resident");
                          });
+
+// The engine's merge memo (src/graph/merge_memo.h) in front of the oracle:
+// its answers, resolved back to bytes, must be what a memo-free oracle
+// answers for the same two payloads.
+class MergeMemoTest : public OracleFixture {
+ protected:
+  void SetUp() override {
+    OracleFixture::SetUp();
+    IntervalOracle::Options uncached;
+    uncached.enable_cache = false;
+    reference_ = std::make_unique<IntervalOracle>(&icfet_, uncached);
+    payloads_ = BasePayloads(reference_.get());
+    for (const auto& payload : payloads_) {
+      ids_.push_back(table_.Intern(payload.data(), payload.size()));
+    }
+  }
+
+  // Merges every (a, b) of the base payloads `passes` times in one round of
+  // one shard, checks each answer against the reference, then folds.
+  ShardMerges Round(MergeMemo* memo, ConstraintOracle* oracle, int passes) {
+    ShardMerges merges(memo, &table_, oracle);
+    std::vector<std::pair<size_t, ShardMerges::Answer>> answers;
+    for (int pass = 0; pass < passes; ++pass) {
+      for (size_t pair = 0; pair < payloads_.size() * payloads_.size(); ++pair) {
+        answers.emplace_back(pair, merges.Merge(ids_[pair / payloads_.size()],
+                                                ids_[pair % payloads_.size()]));
+      }
+    }
+    merges.FoldInto(memo, &table_);
+    for (const auto& [pair, answer] : answers) {
+      const auto& a = payloads_[pair / payloads_.size()];
+      const auto& b = payloads_[pair % payloads_.size()];
+      Answer expected = reference_->MergeAndCheck(a.data(), a.size(), b.data(), b.size());
+      Answer got;
+      if (answer.feasible) {
+        uint32_t id = answer.interned ? answer.payload : merges.InternedId(answer.payload);
+        got = std::vector<uint8_t>(table_.data(id), table_.data(id) + table_.length(id));
+      }
+      EXPECT_EQ(got, expected) << "payloads " << pair / payloads_.size() << " x "
+                               << pair % payloads_.size();
+    }
+    return merges;
+  }
+
+  // Distinct (id_a, id_b) keys among the base payload pairs.
+  size_t DistinctPairs() const {
+    std::set<uint64_t> keys;
+    for (uint32_t a : ids_) {
+      for (uint32_t b : ids_) {
+        keys.insert(MergeMemo::Key(a, b));
+      }
+    }
+    return keys.size();
+  }
+
+  std::unique_ptr<IntervalOracle> reference_;
+  std::vector<std::vector<uint8_t>> payloads_;
+  PayloadTable table_;
+  std::vector<uint32_t> ids_;
+};
+
+TEST_F(MergeMemoTest, AnswersMatchAMemoFreeOracleUnsatIncluded) {
+  ASSERT_GT(icfet_.NumCallSites(), 0u);
+  const size_t pairs = payloads_.size() * payloads_.size();
+  const size_t distinct = DistinctPairs();
+  MergeMemo memo(size_t{1} << 16);
+  IntervalOracle oracle(&icfet_);
+  // Round 1: the memo is empty, so each distinct pair asks the oracle once
+  // and its repeats hit this shard's own misses.
+  ShardMerges first = Round(&memo, &oracle, /*passes=*/2);
+  EXPECT_EQ(oracle.Stats().merges, distinct);
+  EXPECT_EQ(first.memo_hits(), 2 * pairs - distinct);
+  EXPECT_EQ(memo.size(), distinct);
+  // Round 2: every answer comes from the folded memo.
+  ShardMerges second = Round(&memo, &oracle, /*passes=*/1);
+  EXPECT_EQ(second.memo_hits(), pairs);
+  EXPECT_EQ(oracle.Stats().merges, distinct);
+
+  size_t unsat = 0;
+  for (uint32_t a : ids_) {
+    for (uint32_t b : ids_) {
+      const uint32_t* answer = memo.Find(MergeMemo::Key(a, b));
+      ASSERT_NE(answer, nullptr);
+      unsat += *answer == MergeMemo::kUnsat ? 1 : 0;
+    }
+  }
+  // Both answers are exercised, or a memo that confuses keys could pass.
+  EXPECT_GT(unsat, 0u);
+  EXPECT_LT(unsat, pairs);
+}
+
+TEST_F(MergeMemoTest, CapacityBoundsTheMemo) {
+  ASSERT_GT(DistinctPairs(), 16u);
+  MergeMemo memo(16);
+  IntervalOracle oracle(&icfet_);
+  Round(&memo, &oracle, /*passes=*/1);
+  EXPECT_EQ(memo.size(), 16u);
+  EXPECT_TRUE(memo.full());
+  // A full memo answers only what it holds; the rest asks the oracle again
+  // and still gets the reference's answers (checked inside Round).
+  uint64_t merges_before = oracle.Stats().merges;
+  ShardMerges again = Round(&memo, &oracle, /*passes=*/1);
+  EXPECT_EQ(memo.size(), 16u);
+  EXPECT_EQ(oracle.Stats().merges - merges_before, DistinctPairs() - 16u);
+  memo.Clear();
+  EXPECT_EQ(memo.size(), 0u);
+  EXPECT_EQ(memo.Find(MergeMemo::Key(ids_[0], ids_[0])), nullptr);
+}
+
+TEST_F(MergeMemoTest, NoMemoAsksTheOracleForEveryMerge) {
+  IntervalOracle oracle(&icfet_);
+  ShardMerges merges = Round(/*memo=*/nullptr, &oracle, /*passes=*/2);
+  EXPECT_EQ(merges.memo_hits(), 0u);
+  EXPECT_EQ(oracle.Stats().merges, 2 * payloads_.size() * payloads_.size());
+}
 
 }  // namespace
 }  // namespace grapple

@@ -18,6 +18,9 @@
 #include <thread>
 #include <vector>
 
+#include "src/checker/builtin_checkers.h"
+#include "src/core/grapple.h"
+#include "src/ir/parser.h"
 #include "src/obs/event_log.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
@@ -383,6 +386,44 @@ TEST(ProfilerTest, FatalSignalSpillsProfileAndFlightrec) {
     }
   }
   EXPECT_TRUE(saw_fatal_phase);
+}
+
+
+// Each profiled session dumps into its own work dir. A session claims the
+// dump path only when no one holds it, so one that kept its claim after
+// teardown would leave every later session in the process writing into a
+// directory that no longer exists.
+TEST(ProfilerTest, SequentialSessionsEachPersistTheirProfile) {
+  ProfilerSetDumpPath("");
+  TempDir first("prof-session-1");
+  TempDir second("prof-session-2");
+  for (const TempDir* dir : {&first, &second}) {
+    ParseResult parsed = ParseProgram(R"(
+      method main() {
+        obj f : FileWriter
+        f = new FileWriter
+        event f open
+        return
+      }
+    )");
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    GrappleOptions options;
+    options.work_dir = dir->path();
+    options.observability.profile = true;
+    {
+      Grapple session(std::move(parsed.program), options);
+      EXPECT_EQ(ProfilerDumpPath(), dir->path() + "/profile.bin");
+      session.Check({MakeIoCheckerSpec()});
+    }
+    EXPECT_FALSE(ProfilerRunning());
+    EXPECT_EQ(ProfilerDumpPath(), "") << "the session kept its claim on the dump path";
+  }
+  for (const TempDir* dir : {&first, &second}) {
+    ProfileData profile;
+    std::string error;
+    EXPECT_TRUE(DecodeProfile(dir->path() + "/profile.bin", &profile, &error))
+        << dir->path() << ": " << error;
+  }
 }
 
 }  // namespace
